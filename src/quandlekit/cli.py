@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 domain error (reported with its witness),
-2 parse or usage error.
+2 parse or usage error, 3 internal error (any other exception).
 """
 
 import argparse
@@ -228,6 +228,9 @@ def main(argv=None):
     except QuandlekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,197 +1,114 @@
-"""Hot inner loops over operation tables.
+"""Inner loops over dense operation tables.
 
-Everything here scans dense integer tables: self-distributivity checks,
-the reductivity identities (exhaustive tuple scans of size n^(c+1)), and
-the welded-braid action on colour tuples Q^n.  Each kernel has a numba
-@njit implementation and a vectorized pure-numpy fallback; set
-QUANDLEKIT_NO_NUMBA=1 to force the numpy path.
+Self-distributivity is checked one row at a time, so a check needs O(n^2)
+memory and stops at the first failing row.
+
+The reductivity identities are decided on the distinct maps, not on
+tuples.  S_k is the set of maps x1 -> ((x1 |> x2) |> ...) |> x_{k+1}: it
+starts from S_0 = {id} and S_{k+1} = {col_y o f : f in S_k}, where
+col_y(x) = x |> y.  Each layer is deduplicated and sorted, and keeps for
+every map its parent in the layer below and the y that extends it, so a
+witness tuple can be read back.  Once a layer equals the one below, every
+later layer equals it too, and the walk stops.  Since |S_k| <= n^k, this
+never does more work than a scan of all n^(c+1) tuples.
+
+The welded-braid action is checked on all colour tuples Q^n at once.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("QUANDLEKIT_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
+from .errors import InvalidRange
 
 
 def backend_name():
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def _decode(index, base, length):
-    digits = []
-    for _ in range(length):
-        digits.append(index % base)
-        index //= base
-    return tuple(digits)
+    return "numpy"
 
 
 # -- self-distributivity ----------------------------------------------------
 
-def _distributive_witness_numpy(table):
+def distributive_witness(table):
+    """The first (x, y, z) with x |> (y |> z) != (x |> y) |> (x |> z), or None."""
     n = table.shape[0]
-    if n == 0:
-        return None
-    lhs = table[:, table]
-    rhs = table[table[:, :, None], table[:, None, :]]
-    bad = lhs != rhs
-    if not bad.any():
-        return None
-    flat = int(np.argmax(bad))
-    x, rem = divmod(flat, n * n)
-    y, z = divmod(rem, n)
-    return (x, y, z)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _distributive_witness_jit(table):
-        n = table.shape[0]
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if table[x, table[y, z]] != table[table[x, y], table[x, z]]:
-                        return x * n * n + y * n + z
-        return -1
-
-    def distributive_witness(table):
-        n = table.shape[0]
-        if n == 0:
-            return None
-        flat = _distributive_witness_jit(table)
-        if flat < 0:
-            return None
-        x, rem = divmod(flat, n * n)
-        y, z = divmod(rem, n)
-        return (x, y, z)
-
-else:
-    distributive_witness = _distributive_witness_numpy
+    for x in range(n):
+        r = table[x]
+        bad = r[table] != table[r[:, None], r[None, :]]
+        if bad.any():
+            y, z = divmod(int(np.argmax(bad)), n)
+            return (x, y, z)
+    return None
 
 
 # -- reductivity identities -------------------------------------------------
 
-def _reductive_witness_numpy(table, c):
+def _closure(table, depth):
+    """Layers S_0..S_depth as (maps, parent, y) triples."""
     n = table.shape[0]
-    if n == 0:
+    cols = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(n - 1))
+    maps = np.arange(n, dtype=cols.dtype)[None, :]
+    layers = [(maps, None, None)]
+    while len(layers) <= depth:
+        m = len(maps)
+        # row y*m + i is the map x -> maps[i, x] |> y
+        cand = np.take(cols, maps, axis=1).reshape(-1, n)
+        # byte strings sort the same in every layer, so equal sets give equal arrays
+        _, first = np.unique(cand.view(np.dtype((np.void, cand.itemsize * n))).ravel(),
+                             return_index=True)
+        nxt = cand[first]
+        layers.append((nxt, first % m, first // m))
+        if np.array_equal(nxt, maps):
+            # stationary: every later layer is this one, whose parent
+            # pointers stay valid because it equals the layer below
+            layers += [layers[-1]] * (depth + 1 - len(layers))
+            break
+        maps = nxt
+    return layers
+
+
+def _path(layers, k, i):
+    """(x2, ..., x_{k+1}) spelling map i of S_k."""
+    ys = []
+    for level in range(k, 0, -1):
+        _, parent, y = layers[level]
+        ys.append(int(y[i]))
+        i = parent[i]
+    return tuple(reversed(ys))
+
+
+def reductive_witness(table, c):
+    """(x1, ..., x_{c+1}) whose left-iterated product changes when x1 is
+    dropped, or None.
+
+    f in S_{c-1} breaks c-reductivity iff f(x1 |> x2) != f(x2) somewhere.
+    """
+    if c < 1:
+        raise InvalidRange(f"class must be at least 1, got {c}")
+    if table.shape[0] == 0:
         return None
-    grids = np.indices((n,) * (c + 1)).reshape(c + 1, -1)
-    a = grids[0]
-    for i in range(1, c + 1):
-        a = table[a, grids[i]]
-    b = grids[1]
-    for i in range(2, c + 1):
-        b = table[b, grids[i]]
-    bad = a != b
+    layers = _closure(table, c - 1)
+    maps = layers[c - 1][0]
+    bad = maps[:, table] != maps[:, None, :]
     if not bad.any():
         return None
-    flat = int(np.argmax(bad))
-    # np.indices flattens with the first axis slowest
-    rev = _decode(flat, n, c + 1)
-    return tuple(reversed(rev))
+    i, x1, x2 = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return (int(x1), int(x2)) + _path(layers, c - 1, i)
 
 
-if HAS_NUMBA:
+def weak_witness(table, c):
+    """(x1, 0, x2, ..., x_{c+1}) where x1 and 0 give different products, or None.
 
-    @njit(cache=True)
-    def _reductive_witness_jit(table, c):
-        n = table.shape[0]
-        total = 1
-        for _ in range(c + 1):
-            total *= n
-        q = np.empty(c + 1, np.int64)
-        for t in range(total):
-            tt = t
-            for i in range(c + 1):
-                q[i] = tt % n
-                tt //= n
-            a = q[0]
-            for i in range(1, c + 1):
-                a = table[a, q[i]]
-            b = q[1]
-            for i in range(2, c + 1):
-                b = table[b, q[i]]
-            if a != b:
-                return t
-        return -1
-
-    def reductive_witness(table, c):
-        n = table.shape[0]
-        if n == 0:
-            return None
-        flat = _reductive_witness_jit(table, c)
-        if flat < 0:
-            return None
-        return _decode(flat, n, c + 1)
-
-else:
-    reductive_witness = _reductive_witness_numpy
-
-
-def _weak_witness_numpy(table, c):
-    n = table.shape[0]
-    if n == 0:
+    Weak c-nilpotency holds iff every map in S_c is constant.
+    """
+    if c < 1:
+        raise InvalidRange(f"class must be at least 1, got {c}")
+    if table.shape[0] == 0:
         return None
-    grids = np.indices((n,) * (c + 1)).reshape(c + 1, -1)
-    a = grids[0]
-    for i in range(1, c + 1):
-        a = table[a, grids[i]]
-    ref = a.reshape((n,) + (n,) * c)
-    bad = ref != ref[0:1]
+    layers = _closure(table, c)
+    maps = layers[c][0]
+    bad = maps != maps[:, :1]
     if not bad.any():
         return None
-    flat = int(np.argmax(bad))
-    rev = _decode(flat, n, c + 1)
-    x1, rest = rev[-1], tuple(reversed(rev[:-1]))
-    return (x1, 0) + rest
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _weak_witness_jit(table, c):
-        n = table.shape[0]
-        total = 1
-        for _ in range(c + 1):
-            total *= n
-        q = np.empty(c + 1, np.int64)
-        for t in range(total):
-            tt = t
-            for i in range(c + 1):
-                q[i] = tt % n
-                tt //= n
-            a = q[0]
-            b = 0
-            for i in range(1, c + 1):
-                a = table[a, q[i]]
-                b = table[b, q[i]]
-            if a != b:
-                return t
-        return -1
-
-    def weak_witness(table, c):
-        n = table.shape[0]
-        if n == 0:
-            return None
-        flat = _weak_witness_jit(table, c)
-        if flat < 0:
-            return None
-        q = _decode(flat, n, c + 1)
-        return (q[0], 0) + q[1:]
-
-else:
-    weak_witness = _weak_witness_numpy
+    i, x1 = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return (int(x1), 0) + _path(layers, c, i)
 
 
 # -- welded-braid action on colour tuples -----------------------------------
@@ -201,8 +118,11 @@ else:
 # row of the colour on strand j" and -j its inverse.  The braid acts
 # trivially iff every colour tuple is fixed.
 
-def _braid_fixes_all_numpy(rows, rows_inv, sigma, letters, offsets, nstr):
+def braid_fixes_all(rows, rows_inv, sigma, letters, offsets, nstr):
+    """A colour tuple the braid moves, or None if it fixes all of Q^nstr."""
     m = rows.shape[0]
+    if m == 0:
+        return None
     grids = np.indices((m,) * nstr).reshape(nstr, -1)
     for i in range(nstr):
         p = grids[sigma[i]]
@@ -214,53 +134,8 @@ def _braid_fixes_all_numpy(rows, rows_inv, sigma, letters, offsets, nstr):
                 p = rows_inv[grids[-l - 1], p]
         bad = p != grids[i]
         if bad.any():
-            flat = int(np.argmax(bad))
-            rev = _decode(flat, m, nstr)
-            return tuple(reversed(rev))
+            return tuple(int(v) for v in grids[:, int(np.argmax(bad))])
     return None
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _braid_fixes_all_jit(rows, rows_inv, sigma, letters, offsets, nstr):
-        m = rows.shape[0]
-        total = 1
-        for _ in range(nstr):
-            total *= m
-        q = np.empty(nstr, np.int64)
-        for t in range(total):
-            tt = t
-            for i in range(nstr):
-                q[i] = tt % m
-                tt //= m
-            for i in range(nstr):
-                p = q[sigma[i]]
-                for k in range(offsets[i + 1] - 1, offsets[i] - 1, -1):
-                    l = letters[k]
-                    if l > 0:
-                        p = rows[q[l - 1], p]
-                    else:
-                        p = rows_inv[q[-l - 1], p]
-                if p != q[i]:
-                    return t
-        return -1
-
-    def braid_fixes_all(rows, rows_inv, sigma, letters, offsets, nstr):
-        m = rows.shape[0]
-        if m == 0:
-            return None
-        flat = _braid_fixes_all_jit(rows, rows_inv, sigma, letters, offsets, nstr)
-        if flat < 0:
-            return None
-        return _decode(flat, m, nstr)
-
-else:
-
-    def braid_fixes_all(rows, rows_inv, sigma, letters, offsets, nstr):
-        if rows.shape[0] == 0:
-            return None
-        return _braid_fixes_all_numpy(rows, rows_inv, sigma, letters, offsets, nstr)
 
 
 def pack_words(words):

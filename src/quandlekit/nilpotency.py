@@ -2,8 +2,9 @@
 
 Two independent routes to the same invariant: the group route (lower
 central series of the inner group) and the identity route (reductivity
-tuple scans).  Universal nilpotent quotients, covering chains, the
-orbit generation criterion, and residual nilpotency sit on top.
+identities, decided in `kernels` on the distinct iterated-product maps).
+Universal nilpotent quotients, covering chains, the orbit generation
+criterion, and residual nilpotency sit on top.
 """
 
 from dataclasses import dataclass

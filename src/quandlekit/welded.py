@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BudgetExceeded, NotInvertibleRepresentation, ParseError
+from .errors import BudgetExceeded, InvalidRange, NotInvertibleRepresentation, ParseError
 from .words import concat, free_reduce, invert as word_invert
 
 _BRAID_TOKEN = re.compile(r"^(K(\d)(\d)|t(\d+)|s(\d+))(\^-1)?$")
@@ -267,6 +267,8 @@ def gamma_c_acts_trivially(Q, n, c, mode="exhaustive", budget=10**5, seed=0):
     Returns (ok, witness); the witness is (braid, tuple) for the first
     violation found.
     """
+    if c < 1:
+        raise InvalidRange(f"commutator weight must be at least 1, got {c}")
     braids = weight_c_commutators(n, c)
     rows = np.asarray(Q.table, dtype=np.int64)
     rows_inv = np.asarray(Q.inv_table, dtype=np.int64)

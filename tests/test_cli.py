@@ -185,3 +185,24 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_braid_check_gamma_below_one(qfile, capsys):
+    for c in ("0", "-1"):
+        rc = main(["--format", "kv", "braid", qfile, "K12", "0 1", "--check-gamma", c])
+        assert rc == 1
+    captured = capsys.readouterr()
+    assert "trivial" not in captured.out
+    assert captured.err.count("error:") == 2
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    from quandlekit import cli
+
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_trace", broken)
+    assert main(["trace", "--n", "2", "--c", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"

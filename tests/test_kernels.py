@@ -1,30 +1,77 @@
-"""The numba and numpy kernel paths must agree on verdicts."""
+"""The table kernels against brute-force tuple scans, and their memory use."""
+
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
-from quandlekit import kernels
+from quandlekit import kernels, nilpotency
 from quandlekit import finite_quandle as fq
 from quandlekit import welded as wd
+from quandlekit.errors import InvalidRange
 
 
-def _tables():
-    yield fq.trivial(3).table
-    yield fq.q_mn(2, 3).table
-    yield fq.q_12().table
-    bad = np.array([[0, 1, 2], [2, 1, 0], [0, 1, 2]], dtype=np.int64)
-    yield bad
+# -- brute-force oracles: every tuple, all at once ----------------------------
+
+def _decode(index, base, length):
+    digits = []
+    for _ in range(length):
+        digits.append(index % base)
+        index //= base
+    return tuple(digits)
 
 
-def test_distributive_agreement():
-    for table in _tables():
-        fast = kernels.distributive_witness(table)
-        slow = kernels._distributive_witness_numpy(table)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            x, y, z = fast
-            assert table[x, table[y, z]] != table[table[x, y], table[x, z]]
+def distributive_oracle(table):
+    n = table.shape[0]
+    if n == 0:
+        return None
+    lhs = table[:, table]
+    rhs = table[table[:, :, None], table[:, None, :]]
+    bad = lhs != rhs
+    if not bad.any():
+        return None
+    flat = int(np.argmax(bad))
+    x, rem = divmod(flat, n * n)
+    y, z = divmod(rem, n)
+    return (x, y, z)
 
+
+def reductive_oracle(table, c):
+    n = table.shape[0]
+    if n == 0:
+        return None
+    grids = np.indices((n,) * (c + 1)).reshape(c + 1, -1)
+    a = grids[0]
+    for i in range(1, c + 1):
+        a = table[a, grids[i]]
+    b = grids[1]
+    for i in range(2, c + 1):
+        b = table[b, grids[i]]
+    bad = a != b
+    if not bad.any():
+        return None
+    # np.indices flattens with the first axis slowest
+    return tuple(reversed(_decode(int(np.argmax(bad)), n, c + 1)))
+
+
+def weak_oracle(table, c):
+    n = table.shape[0]
+    if n == 0:
+        return None
+    grids = np.indices((n,) * (c + 1)).reshape(c + 1, -1)
+    a = grids[0]
+    for i in range(1, c + 1):
+        a = table[a, grids[i]]
+    ref = a.reshape((n,) + (n,) * c)
+    bad = ref != ref[0:1]
+    if not bad.any():
+        return None
+    rev = _decode(int(np.argmax(bad)), n, c + 1)
+    return (rev[-1], 0) + tuple(reversed(rev[:-1]))
+
+
+# -- helpers --------------------------------------------------------------------
 
 def _eval_left(table, tup):
     acc = tup[0]
@@ -33,56 +80,110 @@ def _eval_left(table, tup):
     return acc
 
 
-def test_reductive_agreement_and_witness_validity():
-    for table in (fq.q_mn(2, 3).table, fq.trivial(3).table):
+def _check_reductive(table, c):
+    w = kernels.reductive_witness(table, c)
+    assert (w is None) == (reductive_oracle(table, c) is None), (table, c)
+    if w is not None:
+        assert len(w) == c + 1
+        assert _eval_left(table, w) != _eval_left(table, w[1:])
+
+
+def _check_weak(table, c):
+    w = kernels.weak_witness(table, c)
+    assert (w is None) == (weak_oracle(table, c) is None), (table, c)
+    if w is not None:
+        x1, x1p, *rest = w
+        assert len(w) == c + 2
+        assert _eval_left(table, (x1, *rest)) != _eval_left(table, (x1p, *rest))
+
+
+def test_distributive_agreement(corpus):
+    for Q in corpus:
+        assert kernels.distributive_witness(Q.table) is None
+    # the hand-made table of the former parity test is a quandle after all
+    table = np.array([[0, 1, 2], [2, 1, 0], [0, 1, 2]], dtype=np.int64)
+    assert kernels.distributive_witness(table) is None
+    assert distributive_oracle(table) is None
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        table = np.array([rng.permutation(5) for _ in range(5)])
+        w = kernels.distributive_witness(table)
+        assert w is not None and w == distributive_oracle(table)
+        x, y, z = w
+        assert table[x, table[y, z]] != table[table[x, y], table[x, z]]
+
+
+def test_reductive_agreement_and_witness_validity(corpus):
+    for Q in corpus:
         for c in (1, 2, 3):
-            fast = kernels.reductive_witness(table, c)
-            slow = kernels._reductive_witness_numpy(table, c)
-            assert (fast is None) == (slow is None)
-            for w in (fast, slow):
-                if w is not None:
-                    assert _eval_left(table, w) != _eval_left(table, w[1:])
+            _check_reductive(Q.table, c)
 
 
-def test_weak_agreement_and_witness_validity():
-    for table in (fq.q_mn(2, 2).table, fq.trivial(4).table):
-        for c in (1, 2):
-            fast = kernels.weak_witness(table, c)
-            slow = kernels._weak_witness_numpy(table, c)
-            assert (fast is None) == (slow is None)
-            for w in (fast, slow):
-                if w is not None:
-                    x1, x1p, *rest = w
-                    assert _eval_left(table, (x1, *rest)) != _eval_left(
-                        table, (x1p, *rest)
-                    )
+def test_weak_agreement_and_witness_validity(corpus):
+    for Q in corpus:
+        for c in (1, 2, 3):
+            _check_weak(Q.table, c)
+
+
+def test_stationary_walk_witnesses():
+    """Tables whose distinct maps stop changing before depth c still give
+    witnesses of full length; arbitrary tables exercise every branch."""
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        table = np.array([rng.permutation(n) for _ in range(n)], dtype=np.int64)
+        for c in range(1, 6):
+            _check_reductive(table, c)
+            _check_weak(table, c)
+
+
+def test_class_below_one_is_rejected():
+    table = fq.q_mn(2, 3).table
+    for c in (0, -1):
+        with pytest.raises(InvalidRange):
+            kernels.reductive_witness(table, c)
+        with pytest.raises(InvalidRange):
+            kernels.weak_witness(table, c)
+    with pytest.raises(InvalidRange):
+        nilpotency.is_c_reductive(fq.q_mn(2, 3), 0)
+
+
+def _braid_oracle(beta, Q, nstr):
+    return [t for t in product(range(Q.n), repeat=nstr) if wd.act_tuple(beta, Q, t) != t]
 
 
 def test_braid_scan_agreement():
     Q = fq.q_mn(2, 3)
     rows = np.asarray(Q.table)
     rows_inv = np.asarray(Q.inv_table)
-    beta = wd.K(1, 2, 2)
-    sigma = np.array(beta.sigma, dtype=np.int64)
-    letters, offsets = kernels.pack_words(beta.ws)
-    fast = kernels.braid_fixes_all(rows, rows_inv, sigma, letters, offsets, 2)
-    slow = kernels._braid_fixes_all_numpy(rows, rows_inv, sigma, letters, offsets, 2)
-    assert (fast is None) == (slow is None)
-    assert fast is not None  # K_12 moves cross-orbit pairs
-    for w in (fast, slow):
-        assert wd.act_tuple(beta, Q, tuple(w)) != tuple(w)
-    gamma = wd.commutator(wd.K(1, 2, 3), wd.K(1, 3, 3))
-    sigma = np.array(gamma.sigma, dtype=np.int64)
-    letters, offsets = kernels.pack_words(gamma.ws)
-    rows3 = rows
-    assert (
-        kernels.braid_fixes_all(rows3, rows_inv, sigma, letters, offsets, 3) is None
-    ) == (
-        kernels._braid_fixes_all_numpy(rows3, rows_inv, sigma, letters, offsets, 3)
-        is None
-    )
+    witnesses = []
+    for beta, nstr in ((wd.K(1, 2, 2), 2), (wd.commutator(wd.K(1, 2, 3), wd.K(1, 3, 3)), 3)):
+        sigma = np.array(beta.sigma, dtype=np.int64)
+        letters, offsets = kernels.pack_words(beta.ws)
+        w = kernels.braid_fixes_all(rows, rows_inv, sigma, letters, offsets, nstr)
+        moved = _braid_oracle(beta, Q, nstr)
+        assert (w is None) == (not moved)
+        assert w is None or w in moved
+        witnesses.append(w)
+    assert witnesses[0] is not None  # K_12 moves cross-orbit pairs
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba backend not active")
-def test_backend_reports_numba():
-    assert kernels.backend_name() == "numba"
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validate_memory_is_quadratic():
+    table = fq.q_mn(150, 150).table
+    assert _traced_peak(lambda: fq.validate(table)) < 16 * 2**20
+
+
+def test_analyze_memory_on_dihedral_9():
+    x, y = np.indices((9, 9))
+    R9 = fq.validate((2 * x - y) % 9, require_quandle=True)
+    peak = _traced_peak(lambda: nilpotency.analyze(R9))
+    assert peak < 16 * 2**20

@@ -6,7 +6,12 @@ from conftest import symmetric3
 from quandlekit import finite_quandle as fq
 from quandlekit import nilpotency as nil
 from quandlekit import welded as wd
-from quandlekit.errors import BudgetExceeded, NotInvertibleRepresentation, ParseError
+from quandlekit.errors import (
+    BudgetExceeded,
+    InvalidRange,
+    NotInvertibleRepresentation,
+    ParseError,
+)
 
 
 def test_generator_images():
@@ -151,3 +156,10 @@ def test_detector_budget_and_sample_mode():
     assert wd.act_tuple(beta, s3, tup) != tup
     with pytest.raises(ValueError):
         wd.gamma_c_acts_trivially(Q, 2, 2, mode="bogus")
+
+
+def test_detector_rejects_weight_below_one():
+    for c in (0, -1):
+        for mode in ("exhaustive", "sample"):
+            with pytest.raises(InvalidRange):
+                wd.gamma_c_acts_trivially(fq.q_mn(2, 3), 2, c, mode=mode)
