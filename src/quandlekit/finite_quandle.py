@@ -8,7 +8,9 @@ reduced quotient all live here.
 import numpy as np
 
 from . import kernels
-from .errors import AxiomViolation, InvalidGroup, NotAQuandle, NotNormalized, ParseError
+from .errors import (
+    AxiomViolation, InvalidGroup, InvalidRange, NotAQuandle, NotNormalized, ParseError,
+)
 from .permgroup import perm_inv, perm_mul
 
 
@@ -150,7 +152,7 @@ def q_mn(m, n):
     across orbits shifts by one, acting within an orbit does nothing.
     """
     if m < 1 or n < 1:
-        raise ValueError("orbit sizes must be at least 1")
+        raise InvalidRange(f"orbit sizes must be at least 1, got {m} and {n}")
     size = m + n
     table = np.empty((size, size), dtype=np.int64)
     for x in range(size):
@@ -313,12 +315,7 @@ def is_covering(p):
 
 def is_reduced(Q):
     """Every element of an orbit fixes the whole orbit: y |> x = x there."""
-    cong = orbits(Q)
-    for x in range(Q.n):
-        for y in range(Q.n):
-            if cong.class_of[x] == cong.class_of[y] and Q.op(y, x) != x:
-                return False
-    return True
+    return reduced_witness(Q) is None
 
 
 def reduced_witness(Q):

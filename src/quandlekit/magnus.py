@@ -180,52 +180,3 @@ def qd(a, b):
 def eq(a, b):
     return (a.n, a.c) == (b.n, b.c) and a.key() == b.key()
 
-
-def _ball_words(depth, letters):
-    """All words of length <= depth over the given letters."""
-    out = [()]
-    layer = [()]
-    for _ in range(depth):
-        layer = [w + (l,) for w in layer for l in letters]
-        out.extend(layer)
-    return out
-
-
-def check_free_2nilp_is_Q00(depth):
-    """Verify the orbit of x1 in the free 2-nilpotent quandle on x1, x2.
-
-    Conjugates of x1 over a radius-`depth` ball must be classified by one
-    integer coordinate (the X2X1 coefficient) covering -depth..depth, and
-    the law must shift that coordinate by 1 across orbits and fix it
-    within an orbit: the shape of the infinite two-orbit quandle with
-    both orbit lattices reduced to a single axis.
-    """
-    if depth < 0:
-        raise InvalidRange("depth must be nonnegative")
-    n, c = 2, 2
-    words = _ball_words(depth, (1, -1, 2, -2))
-    orbit1 = {}
-    for w in words:
-        elt = quandle_elt(w, 1, n, c)
-        coord = elt.element_poly.coefficient((2, 1))
-        key = elt.key()
-        if key in orbit1 and orbit1[key][0] != coord:
-            return False
-        orbit1[key] = (coord, elt)
-    coords = sorted(v[0] for v in orbit1.values())
-    if coords != list(range(-depth, depth + 1)):
-        return False
-    if len(set(coords)) != len(orbit1):
-        return False
-    # law: conjugates of x2 shift the coordinate by one, own orbit fixes it
-    x2 = quandle_elt((), 2, n, c)
-    x2_conj = quandle_elt((1,), 2, n, c)
-    for coord, elt in orbit1.values():
-        for a, delta in ((x2, 1), (x2_conj, 1)):
-            moved = qd(a, elt)
-            if moved.element_poly.coefficient((2, 1)) != coord + delta:
-                return False
-        same = qd(quandle_elt((2,), 1, n, c), elt)
-        if same.element_poly.coefficient((2, 1)) != coord:
-            return False
-    return True

@@ -3,17 +3,21 @@
 Two independent routes to the same invariant: the group route (lower
 central series of the inner group) and the identity route (reductivity
 identities, decided in `kernels` on the distinct iterated-product maps).
-Universal nilpotent quotients, covering chains, the orbit generation
-criterion, and residual nilpotency sit on top.
+
+Every group-route invariant is read off one lower central series
+Gamma_1 = Inn Q > Gamma_2 > ...: the class, the universal quotients
+Q/Gamma_c, the covering chain Q/Gamma_c ->> ... ->> Q/Gamma_1 ->> point
+and residual nilpotency.  Each has one private helper taking
+(Q, series); the public functions build the series and call it, and
+`analyze` builds the inner group and its series once for all of them.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from . import finite_quandle as fq
 from . import kernels, permgroup
-from .errors import NotNilpotent, TargetNotNilpotent
+from .errors import InvalidRange, NotNilpotent, TargetNotNilpotent
 from .permgroup import DEFAULT_CAP, PermGroup
 
 MAX_SCAN_CLASS = 6
@@ -35,12 +39,20 @@ def inn_group(Q, cap=DEFAULT_CAP):
     return PermGroup(Q.n, Q.inner_generators(), cap=cap)
 
 
+def _series(Q, cap):
+    return permgroup.lower_central_series(inn_group(Q, cap))
+
+
+def _class(series):
+    """Quandle class read off the lower central series of Inn Q, or None."""
+    if not series[-1].is_trivial():
+        return None
+    return len(series)
+
+
 def nilpotency_class(Q, cap=DEFAULT_CAP):
     """Least c with Gamma_c(Inn Q) trivial, or None if Inn Q not nilpotent."""
-    inn_cls = permgroup.nilpotency_class(inn_group(Q, cap))
-    if inn_cls is None:
-        return None
-    return inn_cls + 1
+    return _class(_series(Q, cap))
 
 
 def c_reductive_witness(Q, c):
@@ -77,27 +89,27 @@ def weak_class(Q, max_c=MAX_SCAN_CLASS):
     return None
 
 
-def gamma(G, c):
-    """Gamma_c of a permutation group (series stabilizes on finite groups)."""
-    series = permgroup.lower_central_series(G)
-    return series[min(c - 1, len(series) - 1)]
+def _quotient(Q, series, c):
+    """Q/Gamma_c; the series stops once it stabilizes, so past its end
+    Gamma_c is its last term."""
+    return fq.quotient_by_subgroup(Q, series[min(c, len(series)) - 1])
 
 
 def universal_nilpotent_quotient(Q, c, cap=DEFAULT_CAP):
     """Quotient by the orbits of Gamma_c(Inn Q); universal c-nilpotent image."""
-    G = gamma(inn_group(Q, cap), c)
-    return fq.quotient_by_subgroup(Q, G)
+    if c < 1:
+        raise InvalidRange(f"nilpotency class must be at least 1, got {c}")
+    return _quotient(Q, _series(Q, cap), c)
 
 
-def covering_chain(Q, cap=DEFAULT_CAP):
-    """Morphisms Q = Q/Gamma_c ->> ... ->> Q/Gamma_1 ->> point, all coverings."""
-    c = nilpotency_class(Q, cap)
+def _covering_chain(Q, series):
+    c = _class(series)
     if c is None:
         raise NotNilpotent("inner group is not nilpotent")
     quotients = []
     congs = []
     for i in range(c, 0, -1):
-        quot, cong = universal_nilpotent_quotient(Q, i, cap)
+        quot, cong = _quotient(Q, series, i)
         quotients.append(quot)
         congs.append(cong)
     arrows = []
@@ -114,6 +126,11 @@ def covering_chain(Q, cap=DEFAULT_CAP):
     return arrows
 
 
+def covering_chain(Q, cap=DEFAULT_CAP):
+    """Morphisms Q = Q/Gamma_c ->> ... ->> Q/Gamma_1 ->> point, all coverings."""
+    return _covering_chain(Q, _series(Q, cap))
+
+
 def generates(Q, S):
     """Does S generate Q under the law and its inverse?"""
     if Q.n == 0:
@@ -126,23 +143,14 @@ def meets_every_orbit(Q, S):
     return set(cong.class_of[s] for s in S) == set(range(cong.num_classes))
 
 
-def check_generation_criterion(Q):
-    """Generation == one element per orbit, over all small subsets."""
-    k = fq.orbits(Q).num_classes
-    max_size = min(Q.n, k + 1)
-    for size in range(1, max_size + 1):
-        for S in combinations(range(Q.n), size):
-            if generates(Q, S) != meets_every_orbit(Q, S):
-                return False
-    return True
+def _residually_nilpotent(Q, series):
+    _, cong = fq.quotient_by_subgroup(Q, series[-1])
+    return cong.is_identity()
 
 
 def residually_nilpotent(Q, cap=DEFAULT_CAP):
     """Do the nilpotent quotients eventually separate all pairs?"""
-    series = permgroup.lower_central_series(inn_group(Q, cap))
-    stable = series[-1]
-    _, cong = fq.quotient_by_subgroup(Q, stable)
-    return cong.is_identity()
+    return _residually_nilpotent(Q, _series(Q, cap))
 
 
 def surjectivity_criterion(f, cap=DEFAULT_CAP):
@@ -155,19 +163,24 @@ def surjectivity_criterion(f, cap=DEFAULT_CAP):
 
 
 def analyze(Q, cap=DEFAULT_CAP, max_c=MAX_SCAN_CLASS):
+    """Both routes' invariants; the group route from one series of Inn Q."""
     G = inn_group(Q, cap)
-    inn_cls = permgroup.nilpotency_class(G)
-    q_cls = None if inn_cls is None else inn_cls + 1
-    chain_lengths = []
-    if q_cls is not None:
-        chain_lengths = [arrow.source.n for arrow in covering_chain(Q, cap)]
+    series = permgroup.lower_central_series(G)
+    q_cls = _class(series)
+    if q_cls is None:
+        chain_lengths = []
+        residual = _residually_nilpotent(Q, series)
+    else:
+        chain_lengths = [arrow.source.n for arrow in _covering_chain(Q, series)]
         chain_lengths.append(1)
+        # the chain starts at Q/Gamma_c, the quotient by the last term
+        residual = chain_lengths[0] == Q.n
     return NilpotencyReport(
         inn_order=G.order(),
-        inn_class=inn_cls,
+        inn_class=None if q_cls is None else q_cls - 1,
         quandle_class=q_cls,
         reductive_class=reductive_class(Q, max_c),
         weak_class=weak_class(Q, max_c),
-        residually_nilpotent=residually_nilpotent(Q, cap),
+        residually_nilpotent=residual,
         covering_chain_lengths=chain_lengths,
     )

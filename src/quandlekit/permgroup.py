@@ -161,11 +161,3 @@ def nilpotency_class(G):
         return len(series) - 1
     return None
 
-
-def center(G):
-    elems = G.elements()
-    gens = G.generators
-    central = [
-        p for p in elems if all(perm_mul(p, g) == perm_mul(g, p) for g in gens)
-    ]
-    return PermGroup(G.degree, central, cap=G.cap)

@@ -283,6 +283,8 @@ def gamma_c_acts_trivially(Q, n, c, mode="exhaustive", budget=10**5, seed=0):
                 return False, (beta, witness)
         return True, None
     if mode == "sample":
+        if budget < 1:
+            raise InvalidRange(f"sample budget must be at least 1, got {budget}")
         rng = random.Random(seed)
         checks = 0
         while checks < budget:

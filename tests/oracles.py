@@ -1,0 +1,84 @@
+"""Brute-force oracles shared by the unit and acceptance tests.
+
+Each checks a theorem by exhaustion on small cases (all small subsets,
+a ball of words, a full element set), so it has no place in the library.
+"""
+
+from itertools import combinations
+
+from quandlekit import finite_quandle as fq
+from quandlekit import nilpotency as nil
+from quandlekit.errors import InvalidRange
+from quandlekit.magnus import qd, quandle_elt
+from quandlekit.permgroup import PermGroup, perm_mul
+
+
+def check_generation_criterion(Q):
+    """Generation == one element per orbit, over all small subsets."""
+    k = fq.orbits(Q).num_classes
+    max_size = min(Q.n, k + 1)
+    for size in range(1, max_size + 1):
+        for S in combinations(range(Q.n), size):
+            if nil.generates(Q, S) != nil.meets_every_orbit(Q, S):
+                return False
+    return True
+
+
+def _ball_words(depth, letters):
+    """All words of length <= depth over the given letters."""
+    out = [()]
+    layer = [()]
+    for _ in range(depth):
+        layer = [w + (l,) for w in layer for l in letters]
+        out.extend(layer)
+    return out
+
+
+def check_free_2nilp_is_Q00(depth):
+    """Verify the orbit of x1 in the free 2-nilpotent quandle on x1, x2.
+
+    Conjugates of x1 over a radius-`depth` ball must be classified by one
+    integer coordinate (the X2X1 coefficient) covering -depth..depth, and
+    the law must shift that coordinate by 1 across orbits and fix it
+    within an orbit: the shape of the infinite two-orbit quandle with
+    both orbit lattices reduced to a single axis.
+    """
+    if depth < 0:
+        raise InvalidRange("depth must be nonnegative")
+    n, c = 2, 2
+    words = _ball_words(depth, (1, -1, 2, -2))
+    orbit1 = {}
+    for w in words:
+        elt = quandle_elt(w, 1, n, c)
+        coord = elt.element_poly.coefficient((2, 1))
+        key = elt.key()
+        if key in orbit1 and orbit1[key][0] != coord:
+            return False
+        orbit1[key] = (coord, elt)
+    coords = sorted(v[0] for v in orbit1.values())
+    if coords != list(range(-depth, depth + 1)):
+        return False
+    if len(set(coords)) != len(orbit1):
+        return False
+    # law: conjugates of x2 shift the coordinate by one, own orbit fixes it
+    x2 = quandle_elt((), 2, n, c)
+    x2_conj = quandle_elt((1,), 2, n, c)
+    for coord, elt in orbit1.values():
+        for a, delta in ((x2, 1), (x2_conj, 1)):
+            moved = qd(a, elt)
+            if moved.element_poly.coefficient((2, 1)) != coord + delta:
+                return False
+        same = qd(quandle_elt((2,), 1, n, c), elt)
+        if same.element_poly.coefficient((2, 1)) != coord:
+            return False
+    return True
+
+
+def center(G):
+    """Centre of a permutation group, by testing every element."""
+    elems = G.elements()
+    gens = G.generators
+    central = [
+        p for p in elems if all(perm_mul(p, g) == perm_mul(g, p) for g in gens)
+    ]
+    return PermGroup(G.degree, central, cap=G.cap)

@@ -206,3 +206,27 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert main(["trace", "--n", "2", "--c", "3"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_construct_qmn_rejects_empty_orbits(capsys):
+    for m, n in (("0", "0"), ("0", "3"), ("2", "-1")):
+        assert main(["construct", "qmn", m, n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 3
+    assert "internal error" not in captured.err
+
+
+def test_braid_sample_budget_below_one(tmp_path, capsys):
+    # the dihedral quandle R3 is not 2-nilpotent: exhaustive mode finds a witness
+    r3 = fq.validate([[(2 * x - y) % 3 for y in range(3)] for x in range(3)])
+    p = tmp_path / "r3.qdl"
+    p.write_text(fq.dump_rack(r3))
+    args = ["--format", "kv", "braid", str(p), "K12", "0 1", "--check-gamma", "2"]
+    assert main(args) == 0
+    assert _kv(capsys)["gamma2_trivial"] == "false"
+    for budget in ("0", "-3"):
+        assert main(args + ["--mode", "sample", "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert "trivial" not in captured.out
+    assert captured.err.count("error:") == 2

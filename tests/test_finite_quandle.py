@@ -3,7 +3,9 @@ import pytest
 
 from conftest import symmetric3
 from quandlekit import finite_quandle as fq
-from quandlekit.errors import AxiomViolation, InvalidGroup, NotAQuandle, NotNormalized, ParseError
+from quandlekit.errors import (
+    AxiomViolation, InvalidGroup, InvalidRange, NotAQuandle, NotNormalized, ParseError,
+)
 from quandlekit.nilpotency import inn_group
 from quandlekit.permgroup import PermGroup
 
@@ -43,6 +45,12 @@ def test_q12_table():
 def test_builders_validate(corpus):
     for Q in corpus:
         fq.validate(Q.table)  # re-validation passes
+
+
+def test_q_mn_rejects_empty_orbits():
+    for m, n in ((0, 0), (0, 3), (2, 0), (-1, 2)):
+        with pytest.raises(InvalidRange):
+            fq.q_mn(m, n)
 
 
 def test_q10_truncated_is_wraparound():

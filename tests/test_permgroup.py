@@ -1,11 +1,11 @@
 import pytest
 
 from conftest import dihedral, groups_up_to_8
+from oracles import center
 from quandlekit import finite_quandle as fq
 from quandlekit.errors import OrderCapExceeded
 from quandlekit.permgroup import (
     PermGroup,
-    center,
     commutator_subgroup,
     is_subgroup,
     lower_central_series,

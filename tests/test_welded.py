@@ -156,6 +156,9 @@ def test_detector_budget_and_sample_mode():
     assert wd.act_tuple(beta, s3, tup) != tup
     with pytest.raises(ValueError):
         wd.gamma_c_acts_trivially(Q, 2, 2, mode="bogus")
+    for budget in (0, -1):  # a sample of no tuples proves nothing
+        with pytest.raises(InvalidRange):
+            wd.gamma_c_acts_trivially(s3, 2, 2, mode="sample", budget=budget)
 
 
 def test_detector_rejects_weight_below_one():
