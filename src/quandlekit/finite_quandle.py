@@ -23,6 +23,7 @@ class FiniteRack:
         self.n = table.shape[0]
         self.is_quandle_flag = is_quandle_flag
         self._inv_table = None
+        self._orbits = None
 
     def op(self, x, y):
         return int(self.table[x, y])
@@ -246,12 +247,14 @@ class _UnionFind:
 
 
 def orbits(Q):
-    """Orbit decomposition under the inner group."""
-    uf = _UnionFind(Q.n)
-    for x in range(Q.n):
-        for y in range(Q.n):
-            uf.union(x, Q.op(y, x))
-    return Congruence(Q, uf.class_of())
+    """Orbit decomposition under the inner group, computed once per rack."""
+    if Q._orbits is None:
+        uf = _UnionFind(Q.n)
+        for x in range(Q.n):
+            for y in range(Q.n):
+                uf.union(x, Q.op(y, x))
+        Q._orbits = Congruence(Q, uf.class_of())
+    return Q._orbits
 
 
 def pi0(Q):

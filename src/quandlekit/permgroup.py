@@ -32,10 +32,6 @@ def perm_comm(a, b):
     return perm_mul(perm_mul(a, b), perm_mul(perm_inv(a), perm_inv(b)))
 
 
-def is_permutation(images, degree):
-    return len(images) == degree and sorted(images) == list(range(degree))
-
-
 class PermGroup:
     """Group of permutations of 0..degree-1, defined by generators."""
 
@@ -152,12 +148,15 @@ def lower_central_series(G):
     return series
 
 
-def nilpotency_class(G):
-    """Least c with Gamma_{c+1}(G) trivial, or None if not nilpotent."""
-    if G.is_trivial():
-        return 0
-    series = lower_central_series(G)
+def series_class(series):
+    """Class read off a lower central series: the number of steps down to
+    a trivial last term, or None if the series stops above it."""
     if series[-1].is_trivial():
         return len(series) - 1
     return None
+
+
+def nilpotency_class(G):
+    """Least c with Gamma_{c+1}(G) trivial, or None if not nilpotent."""
+    return series_class(lower_central_series(G))
 

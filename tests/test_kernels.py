@@ -126,15 +126,36 @@ def test_weak_agreement_and_witness_validity(corpus):
 
 
 def test_stationary_walk_witnesses():
-    """Tables whose distinct maps stop changing before depth c still give
-    witnesses of full length; arbitrary tables exercise every branch."""
+    """Tables whose distinct maps repeat before depth c still give
+    witnesses of full length; arbitrary tables exercise every branch, and
+    depths up to 8 on at most 3 elements run past repeats of period 2+."""
     rng = np.random.default_rng(3)
     for _ in range(40):
         n = int(rng.integers(2, 5))
         table = np.array([rng.permutation(n) for _ in range(n)], dtype=np.int64)
-        for c in range(1, 6):
+        for c in range(1, 9 if n <= 3 else 6):
             _check_reductive(table, c)
             _check_weak(table, c)
+
+
+def _dihedral_table(n):
+    x, y = np.indices((n, n))
+    return (2 * x - y) % n
+
+
+def test_witnesses_past_a_periodic_repeat():
+    """R3's layers repeat with period 2, so c = 10**5 builds three layers
+    and reads a full-length witness off the cycle."""
+    table = _dihedral_table(3)
+    c = 10**5
+    found = []
+    assert _traced_peak(lambda: found.append(kernels.reductive_witness(table, c))) < 2**20
+    assert _traced_peak(lambda: found.append(kernels.weak_witness(table, c))) < 2**20
+    red, (x1, x1p, *rest) = found
+    assert len(red) == c + 1
+    assert _eval_left(table, red) != _eval_left(table, red[1:])
+    assert len(rest) == c
+    assert _eval_left(table, (x1, *rest)) != _eval_left(table, (x1p, *rest))
 
 
 def test_class_below_one_is_rejected():
@@ -183,7 +204,6 @@ def test_validate_memory_is_quadratic():
 
 
 def test_analyze_memory_on_dihedral_9():
-    x, y = np.indices((9, 9))
-    R9 = fq.validate((2 * x - y) % 9, require_quandle=True)
+    R9 = fq.validate(_dihedral_table(9), require_quandle=True)
     peak = _traced_peak(lambda: nilpotency.analyze(R9))
     assert peak < 16 * 2**20

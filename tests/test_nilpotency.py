@@ -6,7 +6,7 @@ from conftest import dihedral, symmetric3
 from oracles import check_generation_criterion
 from quandlekit import finite_quandle as fq
 from quandlekit import nilpotency as nil
-from quandlekit import permgroup
+from quandlekit import kernels, permgroup
 from quandlekit.errors import InvalidRange, NotNilpotent, TargetNotNilpotent
 
 
@@ -41,6 +41,13 @@ def test_reductivity_matches_group_route(corpus):
         for c in range(1, 5):
             expected = cls is not None and cls <= c
             assert nil.is_c_reductive(Q, c) == expected, (Q.table, c)
+        assert nil.reductive_class(Q) == nil.weak_class(Q) == cls, Q.table
+
+
+def test_identity_route_is_exact_past_class_6():
+    """R128 has class 7; the identity route used to stop at c = 6."""
+    Q = _dihedral_quandle(128)
+    assert nil.reductive_class(Q) == nil.weak_class(Q) == nil.nilpotency_class(Q) == 7
 
 
 def test_weak_nilpotency_is_implied(corpus):
@@ -239,8 +246,14 @@ def test_analyze_builds_one_series_and_one_inner_group(monkeypatch, name):
     inn = nil.inn_group(Q).elements()
     series_calls = []
     enumerated = []
+    walks = []
     lcs = permgroup.lower_central_series
     elements = permgroup.PermGroup.elements
+
+    class CountingWalk(kernels._Walk):
+        def __init__(self, table):
+            walks.append(table)
+            super().__init__(table)
 
     def counting_lcs(G):
         series_calls.append(G)
@@ -255,9 +268,11 @@ def test_analyze_builds_one_series_and_one_inner_group(monkeypatch, name):
 
     monkeypatch.setattr(permgroup, "lower_central_series", counting_lcs)
     monkeypatch.setattr(permgroup.PermGroup, "elements", counting_elements)
+    monkeypatch.setattr(kernels, "_Walk", CountingWalk)
     report = nil.analyze(Q)
     assert report.inn_order == len(inn)
     assert len(series_calls) == 1
+    assert len(walks) == 1
     assert sum(group == inn for group in enumerated) == 1
     if name == "q23":
         # Inn Q and the trivial Gamma_2 (the parent enumerated 10 groups)
