@@ -16,7 +16,14 @@ c past the first that satisfies them, so checking c up to the repeat
 decides each class exactly.  Since |S_k| <= n^k, the walk never does
 more work than a scan of all n^(c+1) tuples.
 
-The welded-braid action is checked on all colour tuples Q^n at once.
+The welded-braid detector works on permutation images.  Each generator
+K_ij permutes the m^n colour tuples of Q^n, flattened to indices, so a
+braid word is a composition of index arrays.  The weight-c commutators
+are walked depth first, holding one permutation and its inverse per
+weight, and a subtree is skipped once its root acts trivially.  A
+commutator [a, g] of weight c acts trivially iff a and g commute, which
+takes two gathers.  A single braid word is checked on all of Q^n at
+once, one gather per letter.
 """
 
 import numpy as np
@@ -164,10 +171,64 @@ def identity_classes(table):
 
 # -- welded-braid action on colour tuples -----------------------------------
 #
-# A braid is handed over as (sigma, letters, offsets): strand i reads its
-# word as letters[offsets[i]:offsets[i+1]], a letter +j meaning "apply the
-# row of the colour on strand j" and -j its inverse.  The braid acts
+# A permutation of Q^n is an index array p over the flattened tuples: p[t]
+# is the image of tuple t.  A braid word acts letter by letter, so the
+# image of a product ab is p_b[p_a], and of [a, g] = a g a^-1 g^-1 it is
+# p_g^-1[p_a^-1[p_g[p_a]]].
+#
+# A braid word is handed over as (sigma, letters, offsets): strand i reads
+# its word as letters[offsets[i]:offsets[i+1]], a letter +j meaning "apply
+# the row of the colour on strand j" and -j its inverse.  The braid acts
 # trivially iff every colour tuple is fixed.
+
+def first_moving_commutator(perms, tree):
+    """Index of the first weight-c commutator that moves a colour tuple, or None.
+
+    perms[g] is the permutation of generator g.  tree[k] = (parent, gen)
+    lists the commutators of weight k+2 in order: number i is [a, g] with
+    a the commutator number parent[i] of weight k+1 (a generator when
+    k = 0) and g = gen[i].  The weight c is len(tree) + 1.  When every
+    level is in parent order, as weight_c_commutators builds them, the
+    walk is depth first and builds each permutation once.
+    """
+    identity = np.arange(perms.shape[1])
+    fixed = (perms == identity).all(axis=1).tolist()
+    if not tree:
+        return fixed.index(False) if False in fixed else None
+    # path[w] = (i, p, p^-1) for the last commutator i of weight w+1 built,
+    # with p None if it acts trivially: then so does every commutator on it
+    path = [None] * len(tree)
+
+    def inverse(p):
+        q = np.empty_like(p)
+        q[p] = identity
+        return q
+
+    def image(w, i):
+        if path[w] is None or path[w][0] != i:
+            if w == 0:
+                p = None if fixed[i] else perms[i]
+            else:
+                parent, gen = tree[w - 1]
+                a, a_inv = image(w - 1, parent[i])
+                g = gen[i]
+                p = None
+                if a is not None and not fixed[g]:
+                    p = inverse(perms[g])[a_inv[perms[g][a]]]
+                    if (p == identity).all():
+                        p = None
+            path[w] = (i, p, None if p is None else inverse(p))
+        return path[w][1:]
+
+    for k, (i, g) in enumerate(zip(*tree[-1])):
+        a = image(len(tree) - 1, i)[0]
+        if a is None or fixed[g]:
+            continue
+        # [a, g] is the identity iff p_g[p_a] == p_a[p_g]
+        if (perms[g][a] != a[perms[g]]).any():
+            return k
+    return None
+
 
 def braid_fixes_all(rows, rows_inv, sigma, letters, offsets, nstr):
     """A colour tuple the braid moves, or None if it fixes all of Q^nstr."""
@@ -175,14 +236,14 @@ def braid_fixes_all(rows, rows_inv, sigma, letters, offsets, nstr):
     if m == 0:
         return None
     grids = np.indices((m,) * nstr).reshape(nstr, -1)
+    # x |> p is flat[x*m + p]: one 1-d gather per letter
+    heads = grids * m
+    flat, flat_inv = rows.ravel(), rows_inv.ravel()
+    letters, offsets = letters.tolist(), offsets.tolist()
     for i in range(nstr):
         p = grids[sigma[i]]
-        for k in range(offsets[i + 1] - 1, offsets[i] - 1, -1):
-            l = letters[k]
-            if l > 0:
-                p = rows[grids[l - 1], p]
-            else:
-                p = rows_inv[grids[-l - 1], p]
+        for l in reversed(letters[offsets[i]:offsets[i + 1]]):
+            p = flat[heads[l - 1] + p] if l > 0 else flat_inv[heads[-l - 1] + p]
         bad = p != grids[i]
         if bad.any():
             return tuple(int(v) for v in grids[:, int(np.argmax(bad))])

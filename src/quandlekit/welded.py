@@ -3,8 +3,13 @@
 An automorphism sends x_i to w_i x_{sigma(i)} w_i^-1; the named
 generators are K_ij (pure welded), tau_i (strand swap), and sigma_i
 (crossing).  Such a braid acts on colour tuples in Q^n by evaluating
-each w_i through the rows of the colours; the nilpotency detector scans
-weight-c commutators of the K_ij over all of Q^n.
+each w_i through the rows of the colours.
+
+The nilpotency detector works on the permutations that the K_ij induce
+on the |Q|^n colour tuples.  The weight-c commutators form a tree (each
+is [a, K_ij] for a commutator a of weight c-1), and the detector walks
+it depth first by composing index arrays.  Only the first commutator
+that moves a tuple is evaluated as a braid word, to name the tuple.
 """
 
 import random
@@ -224,35 +229,73 @@ def act(beta, col):
 
 # -- nilpotency detector -------------------------------------------------------
 
-_commutator_cache = {}
+# n -> [(braids, parent, gen)], weight k at index k-1; see _commutator_tree
+_commutator_levels = {}
+
+
+def _strand_pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def _commutator_tree(n, c):
+    """The weight-1..c levels of left-normed K_ij commutators on n strands.
+
+    Level k holds (braids, parent, gen): braid number i is
+    commutator(a, g) with a = braid number parent[i] of level k-1 and g
+    the K_ij numbered gen[i], kept only if it is neither the identity nor
+    equal to an earlier braid of its level.  Braids come in order of
+    (parent, gen).  Level 1 is the K_ij themselves, with no parents.
+    """
+    levels = _commutator_levels.setdefault(n, [])
+    if not levels:
+        levels.append(([K(i, j, n) for i, j in _strand_pairs(n)], None, None))
+    gens = levels[0][0]
+    while len(levels) < c:
+        braids, parent, gen = [], [], []
+        seen = set()
+        for p, a in enumerate(levels[-1][0]):
+            for g, b in enumerate(gens):
+                com = commutator(a, b)
+                if com.is_identity() or com in seen:
+                    continue
+                seen.add(com)
+                braids.append(com)
+                parent.append(p)
+                gen.append(g)
+        levels.append((braids, parent, gen))
+    return levels[:c]
 
 
 def weight_c_commutators(n, c):
     """Deduplicated left-normed weight-c commutators of the K_ij generators.
 
-    Quandle-independent, so cached per (n, c).  Checking these suffices
-    for the whole lower-central term: elements acting trivially form a
-    normal subgroup of the acting group.
+    Quandle-independent, so every level is cached per n and the same list
+    is returned on each call.  Checking these suffices for the whole
+    lower-central term: elements acting trivially form a normal subgroup
+    of the acting group.
     """
-    if (n, c) in _commutator_cache:
-        return _commutator_cache[(n, c)]
-    gens = [K(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    level = list(gens)
-    for _ in range(c - 1):
-        nxt = []
-        seen = set()
-        for a in level:
-            for g in gens:
-                com = commutator(a, g)
-                if com.is_identity():
-                    continue
-                if com in seen:
-                    continue
-                seen.add(com)
-                nxt.append(com)
-        level = nxt
-    _commutator_cache[(n, c)] = level
-    return level
+    if c < 1:
+        raise InvalidRange(f"commutator weight must be at least 1, got {c}")
+    return _commutator_tree(n, c)[-1][0]
+
+
+def _generator_permutations(Q, n):
+    """The permutations of the flattened tuples of Q^n induced by the K_ij,
+    one row each, in the order of _strand_pairs.
+
+    K_ij changes only colour i, to q_j |> q_i, so its index array moves
+    each tuple by a multiple of the stride of coordinate i.
+    """
+    m = Q.n
+    rows = np.asarray(Q.table, dtype=np.int64)
+    grids = np.indices((m,) * n).reshape(n, -1)
+    pairs = _strand_pairs(n)
+    # filled in place: a list of rows and its stacked copy would double the peak
+    perms = np.empty((len(pairs), grids.shape[1]), np.int64)
+    for g, (i, j) in enumerate(pairs):
+        ti, tj = grids[i - 1], grids[j - 1]
+        np.add(np.arange(grids.shape[1]), (rows[tj, ti] - ti) * m ** (n - i), out=perms[g])
+    return perms
 
 
 def _braid_arrays(beta):
@@ -265,35 +308,42 @@ def gamma_c_acts_trivially(Q, n, c, mode="exhaustive", budget=10**5, seed=0):
     """Does the weight-c part of the pure welded braid group fix all of Q^n?
 
     Returns (ok, witness); the witness is (braid, tuple) for the first
-    violation found.
+    violation found.  In exhaustive mode that is the first braid of
+    weight_c_commutators(n, c) that moves a tuple, and the first tuple
+    of Q^n it moves.
     """
     if c < 1:
         raise InvalidRange(f"commutator weight must be at least 1, got {c}")
-    braids = weight_c_commutators(n, c)
-    rows = np.asarray(Q.table, dtype=np.int64)
-    rows_inv = np.asarray(Q.inv_table, dtype=np.int64)
-    total = Q.n**n
     if mode == "exhaustive":
-        if total > budget:
+        if Q.n**n > budget:
             raise BudgetExceeded(budget)
-        for beta in braids:
-            sigma, letters, offsets = _braid_arrays(beta)
-            witness = kernels.braid_fixes_all(rows, rows_inv, sigma, letters, offsets, n)
-            if witness is not None:
-                return False, (beta, witness)
-        return True, None
-    if mode == "sample":
+    elif mode == "sample":
         if budget < 1:
             raise InvalidRange(f"sample budget must be at least 1, got {budget}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    braids = weight_c_commutators(n, c)
+    if not braids:
+        return True, None
+    if mode == "sample":
         rng = random.Random(seed)
         checks = 0
         while checks < budget:
-            beta = rng.choice(braids) if braids else None
-            if beta is None:
-                return True, None
+            beta = rng.choice(braids)
             tup = tuple(rng.randrange(Q.n) for _ in range(n))
             if act_tuple(beta, Q, tup) != tup:
                 return False, (beta, tup)
             checks += 1
         return True, None
-    raise ValueError(f"unknown mode {mode!r}")
+    tree = [(parent, gen) for _, parent, gen in _commutator_tree(n, c)[1:]]
+    k = kernels.first_moving_commutator(_generator_permutations(Q, n), tree)
+    if k is None:
+        return True, None
+    beta = braids[k]
+    rows = np.asarray(Q.table, dtype=np.int64)
+    rows_inv = np.asarray(Q.inv_table, dtype=np.int64)
+    witness = kernels.braid_fixes_all(rows, rows_inv, *_braid_arrays(beta), n)
+    if witness is None:
+        raise RuntimeError(f"weight-{c} commutator {k} moves a tuple of Q^{n} "
+                           "as a permutation but not as a braid word")
+    return False, (beta, witness)

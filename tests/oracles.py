@@ -1,13 +1,18 @@
 """Brute-force oracles shared by the unit and acceptance tests.
 
 Each checks a theorem by exhaustion on small cases (all small subsets,
-a ball of words, a full element set), so it has no place in the library.
+a ball of words, a full element set, every braid word), so it has no place
+in the library.
 """
 
 from itertools import combinations
 
+import numpy as np
+
 from quandlekit import finite_quandle as fq
+from quandlekit import kernels
 from quandlekit import nilpotency as nil
+from quandlekit import welded as wd
 from quandlekit.errors import InvalidRange
 from quandlekit.magnus import qd, quandle_elt
 from quandlekit.permgroup import PermGroup, perm_mul
@@ -82,3 +87,16 @@ def center(G):
         p for p in elems if all(perm_mul(p, g) == perm_mul(g, p) for g in gens)
     ]
     return PermGroup(G.degree, central, cap=G.cap)
+
+
+def first_moving_braid(Q, n, c):
+    """Index of the first braid of weight_c_commutators(n, c) that moves a
+    tuple of Q^n, or None, by evaluating each braid word on all of Q^n."""
+    rows = np.asarray(Q.table, dtype=np.int64)
+    rows_inv = np.asarray(Q.inv_table, dtype=np.int64)
+    for k, beta in enumerate(wd.weight_c_commutators(n, c)):
+        sigma = np.array(beta.sigma, dtype=np.int64)
+        letters, offsets = kernels.pack_words(beta.ws)
+        if kernels.braid_fixes_all(rows, rows_inv, sigma, letters, offsets, n) is not None:
+            return k
+    return None

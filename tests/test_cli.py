@@ -143,6 +143,19 @@ def test_braid_check_gamma(qfile, capsys):
     assert "witness_tuple" in kv
 
 
+def test_braid_check_gamma_on_fewer_than_two_strands(tmp_path, capsys):
+    # no K_ij on 0 or 1 strands, so every weight acts trivially
+    r3 = fq.validate([[(2 * x - y) % 3 for y in range(3)] for x in range(3)])
+    p = tmp_path / "r3.qdl"
+    p.write_text(fq.dump_rack(r3))
+    for tup in ("", "1"):
+        assert main(["--format", "kv", "braid", str(p), "", tup, "--check-gamma", "2"]) == 0
+        kv = _kv(capsys)
+        assert kv["output"] == tup
+        assert kv["gamma2_trivial"] == "true"
+        assert "witness_tuple" not in kv
+
+
 def test_braid_bad_tuple(qfile, capsys):
     assert main(["braid", qfile, "K12", "0 9"]) == 2
     assert main(["braid", qfile, "K99", "0 0"]) == 2

@@ -189,6 +189,19 @@ def test_braid_scan_agreement():
     assert witnesses[0] is not None  # K_12 moves cross-orbit pairs
 
 
+def test_first_moving_commutator_on_s3():
+    e, a, b = (0, 1, 2), (1, 0, 2), (0, 2, 1)
+    perms = np.array([e, a, b])
+    assert kernels.first_moving_commutator(perms, []) == 1
+    assert kernels.first_moving_commutator(perms[:1], []) is None
+    # weight 2: [e, a], [a, a], [a, b], [b, a]; only the last two move
+    tree = [([0, 1, 1, 2], [1, 1, 2, 1])]
+    assert kernels.first_moving_commutator(perms, tree) == 2
+    # weight 3 on [a, a] (trivial, so skipped) and [a, b]: [[a, b], a] moves
+    tree.append(([1, 2, 2], [2, 0, 1]))
+    assert kernels.first_moving_commutator(perms, tree) == 2
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import symmetric3
+from oracles import first_moving_braid
 from quandlekit import finite_quandle as fq
 from quandlekit import nilpotency as nil
 from quandlekit import welded as wd
@@ -125,11 +126,52 @@ def test_weight_c_commutators_cached():
     assert wd.weight_c_commutators(2, 1)  # the K_ij themselves
 
 
+def test_weight_c_commutators_reject_weight_below_one():
+    for c in (0, -2):
+        with pytest.raises(InvalidRange):
+            wd.weight_c_commutators(3, c)
+
+
+def test_detector_matches_braid_scan(corpus):
+    """The permutation walk flags the same first braid as evaluating every
+    braid word on Q^n, and its witness is re-verified."""
+    cases = 0
+    for Q in corpus:
+        for c in (2, 3):
+            n = c + 1
+            if Q.n ** n > 5000:
+                continue
+            cases += 1
+            braids = wd.weight_c_commutators(n, c)
+            ok, witness = wd.gamma_c_acts_trivially(Q, n, c)
+            expected = first_moving_braid(Q, n, c)
+            assert ok == (expected is None), (Q.table, c)
+            if not ok:
+                beta, tup = witness
+                assert [k for k, b in enumerate(braids) if b is beta] == [expected]
+                assert wd.act_tuple(beta, Q, tup) != tup
+    assert cases == 122
+
+
+def test_detector_never_reports_an_unconfirmed_witness(monkeypatch):
+    # every braid fixes every tuple of a trivial quandle
+    monkeypatch.setattr(wd.kernels, "first_moving_commutator", lambda perms, tree: 0)
+    with pytest.raises(RuntimeError):
+        wd.gamma_c_acts_trivially(fq.trivial(3), 3, 2)
+
+
+def test_detector_on_fewer_than_two_strands():
+    """No K_ij exist, so nothing can move a tuple."""
+    R3 = fq.validate([[(2 * x - y) % 3 for y in range(3)] for x in range(3)])
+    for n in (0, 1):
+        assert wd.weight_c_commutators(n, 2) == []
+        assert wd.gamma_c_acts_trivially(R3, n, 2) == (True, None)
+        assert wd.gamma_c_acts_trivially(R3, n, 2, mode="sample") == (True, None)
+
+
 def test_detector_matches_nilpotency_class(corpus):
     """Weight-c commutators act trivially on Q^n iff the class is <= c."""
     for Q in corpus:
-        if Q.n > 4:
-            continue
         cls = nil.nilpotency_class(Q)
         for c in (1, 2, 3):
             n = c + 1
