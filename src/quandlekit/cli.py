@@ -2,9 +2,14 @@
 
 Exit codes: 0 success, 1 domain error (reported with its witness),
 2 parse or usage error, 3 internal error (any other exception).
+
+`main` may be called many times in one process: the argument parser is
+built on the first call and reused, and each subcommand's `cmd_*`
+function is looked up by name when it runs.
 """
 
 import argparse
+import functools
 import sys
 
 from . import finite_quandle as fq
@@ -173,7 +178,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="nilpotency report for a quandle file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func="cmd_analyze")
 
     p = sub.add_parser("construct", help="emit a quandle table file")
     kinds = p.add_subparsers(dest="kind", required=True)
@@ -187,11 +192,11 @@ def build_parser():
     k.add_argument("--rack", action="store_true", help="allow z_i outside H_i")
     for k_name in ("qmn", "two-nilp", "coset"):
         kinds.choices[k_name].add_argument("-o", "--output", default=None)
-        kinds.choices[k_name].set_defaults(func=cmd_construct)
+        kinds.choices[k_name].set_defaults(func="cmd_construct")
 
     p = sub.add_parser("envelope", help="enveloping group of 2-nilpotent data")
     p.add_argument("path")
-    p.set_defaults(func=cmd_envelope)
+    p.set_defaults(func="cmd_envelope")
 
     p = sub.add_parser("braid", help="act on a colouring by a welded braid word")
     p.add_argument("qfile")
@@ -201,27 +206,32 @@ def build_parser():
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     p.add_argument("--budget", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_braid)
+    p.set_defaults(func="cmd_braid")
 
     p = sub.add_parser("trace", help="non-tame witness derivation and trace")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func="cmd_trace")
 
     p = sub.add_parser("freenilp", help="Magnus expansion of a word")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--word", required=True, help='e.g. "x1 x2 x1^-1"')
     p.add_argument("--gen", type=int, default=None)
-    p.set_defaults(func=cmd_freenilp)
+    p.set_defaults(func="cmd_freenilp")
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        # by name, so a cmd_* rebound after the parser was built is the one run
+        return globals()[args.func](args, sys.stdout)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,11 +43,11 @@ class FiniteRack:
         return int(self.inv_table[x, y])
 
     def row(self, x):
-        return tuple(int(v) for v in self.table[x])
+        return tuple(self.table[x].tolist())
 
     def inner_generators(self):
         """Row permutations y -> x |> y, one per element."""
-        return [self.row(x) for x in range(self.n)]
+        return list(map(tuple, self.table.tolist()))
 
     def __eq__(self, other):
         return isinstance(other, FiniteRack) and np.array_equal(
@@ -71,10 +71,11 @@ class QuandleMorphism:
         self.map = tuple(int(v) for v in map)
         if len(self.map) != source.n:
             raise ValueError("map length does not match source size")
-        for x in range(source.n):
-            for y in range(source.n):
-                if self.map[source.op(x, y)] != target.op(self.map[x], self.map[y]):
-                    raise ValueError(f"not a morphism at ({x}, {y})")
+        f = np.array(self.map, dtype=np.int64)
+        bad = f[source.table] != target.table[f[:, None], f]
+        if bad.any():
+            x, y = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"not a morphism at ({x}, {y})")
 
     def __call__(self, x):
         return self.map[x]
@@ -126,16 +127,16 @@ def validate(table, require_quandle=False):
         raise AxiomViolation("shape", arr.shape)
     if n and (arr.min() < 0 or arr.max() >= n):
         raise AxiomViolation("range", (int(arr.min()), int(arr.max())))
-    for x in range(n):
-        if len(set(arr[x].tolist())) != n:
-            raise AxiomViolation("bijectivity", x)
+    not_bijective = (np.sort(arr, axis=1) != np.arange(n)).any(axis=1)
+    if not_bijective.any():
+        raise AxiomViolation("bijectivity", int(np.argmax(not_bijective)))
     witness = kernels.distributive_witness(arr)
     if witness is not None:
         raise AxiomViolation("distributivity", witness)
-    is_quandle = all(arr[x, x] == x for x in range(n))
+    idempotent = np.diagonal(arr) == np.arange(n)
+    is_quandle = bool(idempotent.all())
     if require_quandle and not is_quandle:
-        bad = next(x for x in range(n) if arr[x, x] != x)
-        raise NotAQuandle(bad)
+        raise NotAQuandle(int(np.argmin(idempotent)))
     return FiniteRack(arr, is_quandle)
 
 
@@ -154,17 +155,10 @@ def q_mn(m, n):
     """
     if m < 1 or n < 1:
         raise InvalidRange(f"orbit sizes must be at least 1, got {m} and {n}")
-    size = m + n
-    table = np.empty((size, size), dtype=np.int64)
-    for x in range(size):
-        for y in range(size):
-            if (x < m) == (y < m):
-                table[x, y] = y
-            elif y < m:
-                table[x, y] = (y + 1) % m
-            else:
-                table[x, y] = m + (y - m + 1) % n
-    return validate(table)
+    y = np.arange(m + n)
+    shifted = np.where(y < m, (y + 1) % m, m + (y - m + 1) % n)
+    first = y < m
+    return validate(np.where(first[:, None] == first, y, shifted))
 
 
 def q_12():
@@ -250,9 +244,10 @@ def orbits(Q):
     """Orbit decomposition under the inner group, computed once per rack."""
     if Q._orbits is None:
         uf = _UnionFind(Q.n)
-        for x in range(Q.n):
-            for y in range(Q.n):
-                uf.union(x, Q.op(y, x))
+        # x is joined to y |> x; equal rows y join the same pairs
+        for y in kernels.distinct_rows(Q.table):
+            for x, z in enumerate(Q.table[y].tolist()):
+                uf.union(x, z)
         Q._orbits = Congruence(Q, uf.class_of())
     return Q._orbits
 
@@ -264,18 +259,14 @@ def pi0(Q):
 
 def quotient_by_congruence(Q, cong):
     """Quotient rack and the projection morphism."""
-    classes = cong.classes()
-    reps = [cls[0] for cls in classes]
-    k = len(reps)
-    table = np.empty((k, k), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            table[a, b] = cong.class_of[Q.op(reps[a], reps[b])]
-    for x in range(Q.n):
-        for y in range(Q.n):
-            a, b = cong.class_of[x], cong.class_of[y]
-            if cong.class_of[Q.op(x, y)] != table[a, b]:
-                raise ValueError(f"partition is not a congruence at ({x}, {y})")
+    class_of = np.array(cong.class_of, dtype=np.int64)
+    # classes are numbered in order of first appearance
+    reps = np.unique(class_of, return_index=True)[1]
+    table = class_of[Q.table[np.ix_(reps, reps)]]
+    bad = class_of[Q.table] != table[class_of[:, None], class_of]
+    if bad.any():
+        x, y = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"partition is not a congruence at ({x}, {y})")
     quot = validate(table)
     proj = QuandleMorphism(Q, quot, cong.class_of)
     return quot, proj
@@ -284,15 +275,18 @@ def quotient_by_congruence(Q, cong):
 def quotient_by_subgroup(Q, G):
     """Quotient by the orbits of a subgroup normalized by the inner group."""
     elems = G.elements()
-    for s in Q.inner_generators():
+    # equal rows pass or fail together, so the first failing row is the
+    # first of its kind
+    for x in kernels.distinct_rows(Q.table):
+        s = Q.row(x)
         s_inv = perm_inv(s)
         for g in G.generators:
             if perm_mul(perm_mul(s, g), s_inv) not in elems:
                 raise NotNormalized((s, g))
     uf = _UnionFind(Q.n)
     for g in G.generators:
-        for x in range(Q.n):
-            uf.union(x, g[x])
+        for x, gx in enumerate(g):
+            uf.union(x, gx)
     cong = Congruence(Q, uf.class_of())
     quot, _ = quotient_by_congruence(Q, cong)
     return quot, cong
@@ -323,16 +317,17 @@ def is_reduced(Q):
 
 def reduced_witness(Q):
     """A pair (y, x) in one orbit with y |> x != x, or None."""
-    cong = orbits(Q)
-    for x in range(Q.n):
-        for y in range(Q.n):
-            if cong.class_of[x] == cong.class_of[y] and Q.op(y, x) != x:
-                return (y, x)
-    return None
+    class_of = np.array(orbits(Q).class_of, dtype=np.int64)
+    # bad[x, y]: y |> x != x with x and y in one orbit
+    bad = (class_of[:, None] == class_of) & (Q.table.T != np.arange(Q.n)[:, None])
+    if not bad.any():
+        return None
+    x, y = np.argwhere(bad)[0].tolist()
+    return (y, x)
 
 
 def is_trivial(Q):
-    return all(Q.op(x, y) == y for x in range(Q.n) for y in range(Q.n))
+    return bool((Q.table == np.arange(Q.n)).all())
 
 
 def reduced_quotient(Q):

@@ -1,10 +1,14 @@
 """Finite permutation groups given by generators.
 
-Closure is plain BFS over generator products with an order cap; no
-Schreier-Sims, so this is a desk-scale engine.  Subgroups are generator
-lists with lazy enumeration; equality means mutual membership of
-generators.
+Closure is BFS with an order cap, one layer at a time: the frontier is
+held as an array with one permutation per row, and the next layer is the
+gather g[frontier] for every generator and inverse g, whose rows not seen
+before join the element set.  No Schreier-Sims, so this is a desk-scale
+engine.  Subgroups are generator lists with lazy enumeration; equality
+means mutual membership of generators.
 """
+
+import numpy as np
 
 from .errors import OrderCapExceeded
 
@@ -59,19 +63,20 @@ class PermGroup:
         cap = self.cap if cap is None else cap
         ident = identity_perm(self.degree)
         elems = {ident}
+        k = len(self.generators)
+        gens = np.array(self.generators, dtype=np.intp).reshape(k, self.degree)
+        gens = np.concatenate([gens, np.argsort(gens, axis=1)])
         frontier = [ident]
-        gens = self.generators + [perm_inv(g) for g in self.generators]
         while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = perm_mul(g, p)
-                    if q not in elems:
-                        elems.add(q)
-                        if len(elems) > cap:
-                            raise OrderCapExceeded(cap)
-                        nxt.append(q)
-            frontier = nxt
+            F = np.array(frontier, dtype=np.intp)
+            frontier = []
+            for g in gens:
+                # row i is perm_mul(g, F[i])
+                new = [q for q in map(tuple, g[F].tolist()) if q not in elems]
+                elems.update(new)
+                if len(elems) > cap:
+                    raise OrderCapExceeded(cap)
+                frontier += new
         self._elements = frozenset(elems)
         return self._elements
 

@@ -2,7 +2,8 @@
 
 Each checks a theorem by exhaustion on small cases (all small subsets,
 a ball of words, a full element set, every braid word), so it has no place
-in the library.
+in the library.  The loop versions of the array code in `permgroup`,
+`finite_quandle` and `kernels` are kept here as references for it.
 """
 
 from itertools import combinations
@@ -13,9 +14,9 @@ from quandlekit import finite_quandle as fq
 from quandlekit import kernels
 from quandlekit import nilpotency as nil
 from quandlekit import welded as wd
-from quandlekit.errors import InvalidRange
+from quandlekit.errors import AxiomViolation, InvalidRange, NotAQuandle, OrderCapExceeded
 from quandlekit.magnus import qd, quandle_elt
-from quandlekit.permgroup import PermGroup, perm_mul
+from quandlekit.permgroup import PermGroup, identity_perm, perm_inv, perm_mul
 
 
 def check_generation_criterion(Q):
@@ -99,4 +100,101 @@ def first_moving_braid(Q, n, c):
         letters, offsets = kernels.pack_words(beta.ws)
         if kernels.braid_fixes_all(rows, rows_inv, sigma, letters, offsets, n) is not None:
             return k
+    return None
+
+
+# -- loop versions of the array code -------------------------------------------
+
+def elements_bfs(G, cap):
+    """Element set of G by BFS, one perm_mul per (element, generator)."""
+    ident = identity_perm(G.degree)
+    elems = {ident}
+    frontier = [ident]
+    gens = G.generators + [perm_inv(g) for g in G.generators]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = perm_mul(g, p)
+                if q not in elems:
+                    elems.add(q)
+                    if len(elems) > cap:
+                        raise OrderCapExceeded(cap)
+                    nxt.append(q)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def check_rack_loops(table, require_quandle=False):
+    """validate's checks on an n x n table with entries in range, one row or
+    entry at a time: raises what validate raises, else returns whether the
+    table is a quandle."""
+    n = table.shape[0]
+    for x in range(n):
+        if len(set(table[x].tolist())) != n:
+            raise AxiomViolation("bijectivity", x)
+    witness = distributive_witness_all_rows(table)
+    if witness is not None:
+        raise AxiomViolation("distributivity", witness)
+    is_quandle = all(table[x, x] == x for x in range(n))
+    if require_quandle and not is_quandle:
+        raise NotAQuandle(next(x for x in range(n) if table[x, x] != x))
+    return is_quandle
+
+
+def distributive_witness_all_rows(table):
+    """The first failing (x, y, z), checking the row of every x."""
+    n = table.shape[0]
+    for x in range(n):
+        r = table[x]
+        bad = r[table] != table[r[:, None], r[None, :]]
+        if bad.any():
+            y, z = divmod(int(np.argmax(bad)), n)
+            return (x, y, z)
+    return None
+
+
+def orbit_classes_loops(Q):
+    """Orbit partition, joining x to y |> x for every pair (x, y)."""
+    uf = fq._UnionFind(Q.n)
+    for x in range(Q.n):
+        for y in range(Q.n):
+            uf.union(x, Q.op(y, x))
+    return fq.Congruence(Q, uf.class_of()).class_of
+
+
+def quotient_table_loops(Q, cong):
+    """Quotient table on class representatives; ValueError at the first
+    (x, y) whose class the table gets wrong."""
+    reps = [cls[0] for cls in cong.classes()]
+    k = len(reps)
+    table = np.empty((k, k), dtype=np.int64)
+    for a in range(k):
+        for b in range(k):
+            table[a, b] = cong.class_of[Q.op(reps[a], reps[b])]
+    for x in range(Q.n):
+        for y in range(Q.n):
+            a, b = cong.class_of[x], cong.class_of[y]
+            if cong.class_of[Q.op(x, y)] != table[a, b]:
+                raise ValueError(f"partition is not a congruence at ({x}, {y})")
+    return table
+
+
+def check_morphism_loops(source, target, f):
+    """ValueError at the first (x, y) where f does not commute with the law."""
+    if len(f) != source.n:
+        raise ValueError("map length does not match source size")
+    for x in range(source.n):
+        for y in range(source.n):
+            if f[source.op(x, y)] != target.op(f[x], f[y]):
+                raise ValueError(f"not a morphism at ({x}, {y})")
+
+
+def reduced_witness_loops(Q):
+    """The first (y, x), x outermost, in one orbit with y |> x != x."""
+    class_of = orbit_classes_loops(Q)
+    for x in range(Q.n):
+        for y in range(Q.n):
+            if class_of[x] == class_of[y] and Q.op(y, x) != x:
+                return (y, x)
     return None

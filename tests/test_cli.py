@@ -221,6 +221,26 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_parser_is_built_once(monkeypatch, capsys):
+    from quandlekit import cli
+
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["trace", "--n", "2", "--c", "3"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_construct_qmn_rejects_empty_orbits(capsys):
     for m, n in (("0", "0"), ("0", "3"), ("2", "-1")):
         assert main(["construct", "qmn", m, n]) == 1

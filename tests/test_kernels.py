@@ -220,3 +220,10 @@ def test_analyze_memory_on_dihedral_9():
     R9 = fq.validate(_dihedral_table(9), require_quandle=True)
     peak = _traced_peak(lambda: nilpotency.analyze(R9))
     assert peak < 16 * 2**20
+
+
+def test_analyze_memory_on_q_mn_48():
+    """Inn Q's 2304 elements are held once, as the tuples `elements()`
+    returns (about 4.6 MB traced)."""
+    Q = fq.q_mn(48, 48)
+    assert _traced_peak(lambda: nilpotency.analyze(Q)) < 6 * 2**20

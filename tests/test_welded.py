@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -167,6 +168,20 @@ def test_detector_on_fewer_than_two_strands():
         assert wd.weight_c_commutators(n, 2) == []
         assert wd.gamma_c_acts_trivially(R3, n, 2) == (True, None)
         assert wd.gamma_c_acts_trivially(R3, n, 2, mode="sample") == (True, None)
+
+
+def test_detector_leaves_no_reference_cycles():
+    """The permutations a check builds are freed when it returns, not at
+    the next full collection."""
+    Q = fq.q_mn(2, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        wd.gamma_c_acts_trivially(Q, 3, 2)
+        wd.gamma_c_acts_trivially(Q, 4, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_detector_matches_nilpotency_class(corpus):
