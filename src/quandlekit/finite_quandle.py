@@ -11,7 +11,6 @@ from . import kernels
 from .errors import (
     AxiomViolation, InvalidGroup, InvalidRange, NotAQuandle, NotNormalized, ParseError,
 )
-from .permgroup import perm_inv, perm_mul
 
 
 class FiniteRack:
@@ -274,20 +273,21 @@ def quotient_by_congruence(Q, cong):
 
 def quotient_by_subgroup(Q, G):
     """Quotient by the orbits of a subgroup normalized by the inner group."""
-    elems = G.elements()
-    # equal rows pass or fail together, so the first failing row is the
-    # first of its kind
-    for x in kernels.distinct_rows(Q.table):
-        s = Q.row(x)
-        s_inv = perm_inv(s)
-        for g in G.generators:
-            if perm_mul(perm_mul(s, g), s_inv) not in elems:
-                raise NotNormalized((s, g))
-    uf = _UnionFind(Q.n)
-    for g in G.generators:
-        for x, gx in enumerate(g):
-            uf.union(x, gx)
-    cong = Congruence(Q, uf.class_of())
+    if G.generators:
+        # equal rows pass or fail together, so the first failing row is the
+        # first of its kind
+        xs = kernels.distinct_rows(Q.table)
+        s = Q.table[xs].astype(G.dtype)
+        s_inv = np.argsort(s, axis=1)
+        gens = G.generator_array()
+        # conj[j, i] = s_i g_j s_i^-1, i.e. y -> s_i[g_j[s_i^-1[y]]]
+        conj = s.ravel()[gens[:, s_inv] + np.arange(0, s.size, Q.n)[:, None]]
+        normal = G.contains(conj.transpose(1, 0, 2).reshape(-1, Q.n))
+        if not normal.all():
+            i, j = divmod(int(np.argmin(normal)), len(gens))
+            raise NotNormalized((Q.row(xs[i]), G.generators[j]))
+    # column x of the element array is the orbit of x; label it by its least point
+    cong = Congruence(Q, G.elements().min(axis=0).tolist())
     quot, _ = quotient_by_congruence(Q, cong)
     return quot, cong
 
@@ -442,28 +442,38 @@ def find_isomorphism(A, B):
 
 def parse_rack(text, require_quandle=False):
     """Parse the table file format: first n, then n rows; '#' comments."""
-    rows = []
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            lines.append((line, lineno))
+    # the spellings str(v) of the entries a table with len(lines) - 1 rows
+    # may hold; a row with any other token goes through int() and the
+    # range check
+    token_values = {str(v): v for v in range(len(lines) - 1)}
+    rows = []
+    for line, lineno in lines:
+        tokens = line.split()
         try:
-            rows.append(([int(tok) for tok in line.split()], lineno))
-        except ValueError:
-            raise ParseError(lineno, f"non-integer token in {line!r}")
+            rows.append((list(map(token_values.__getitem__, tokens)), lineno, True))
+        except KeyError:
+            try:
+                rows.append(([int(tok) for tok in tokens], lineno, False))
+            except ValueError:
+                raise ParseError(lineno, f"non-integer token in {line!r}")
     if not rows:
         raise ParseError(1, "empty file")
-    header, lineno = rows[0]
+    header, lineno, _ = rows[0]
     if len(header) != 1 or header[0] < 0:
         raise ParseError(lineno, "first line must be the element count")
     n = header[0]
     if len(rows) - 1 != n:
         raise ParseError(lineno, f"expected {n} table rows, got {len(rows) - 1}")
     table = []
-    for row, lineno in rows[1:]:
+    for row, lineno, in_range in rows[1:]:
         if len(row) != n:
             raise ParseError(lineno, f"expected {n} entries, got {len(row)}")
-        if any(v < 0 or v >= n for v in row):
+        if not in_range and any(v < 0 or v >= n for v in row):
             raise ParseError(lineno, "entry out of range")
         table.append(row)
     if n == 0:
@@ -477,7 +487,7 @@ def load_rack(path, require_quandle=False):
 
 
 def dump_rack(Q):
+    labels = [str(v) for v in range(Q.n)]
     lines = [str(Q.n)]
-    for x in range(Q.n):
-        lines.append(" ".join(str(v) for v in Q.row(x)))
+    lines += [" ".join(map(labels.__getitem__, row)) for row in Q.table.tolist()]
     return "\n".join(lines) + "\n"

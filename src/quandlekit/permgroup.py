@@ -1,11 +1,14 @@
 """Finite permutation groups given by generators.
 
-Closure is BFS with an order cap, one layer at a time: the frontier is
-held as an array with one permutation per row, and the next layer is the
-gather g[frontier] for every generator and inverse g, whose rows not seen
-before join the element set.  No Schreier-Sims, so this is a desk-scale
-engine.  Subgroups are generator lists with lazy enumeration; equality
-means mutual membership of generators.
+A group's elements are one read-only array, one permutation per row, in
+the smallest unsigned dtype that holds the degree.  They are enumerated
+by Dimino's algorithm (Butler 1991): the generators are added one at a
+time, and <g_1..g_i> is the union of the left cosets a*D of
+D = <g_1..g_{i-1}>, each one gather a[D].  A coset is new when the bytes
+of its representative are not yet in the set of row bytes, which then
+serves as the membership index.  No Schreier-Sims, so this is a
+desk-scale engine.  Subgroups are generator lists with lazy enumeration;
+equality means mutual membership of generators.
 """
 
 import numpy as np
@@ -24,16 +27,13 @@ def perm_mul(a, b):
     return tuple(a[b[x]] for x in range(len(a)))
 
 
-def perm_inv(a):
-    out = [0] * len(a)
-    for x, y in enumerate(a):
-        out[y] = x
-    return tuple(out)
-
-
-def perm_comm(a, b):
-    """[a, b] = a b a^-1 b^-1."""
-    return perm_mul(perm_mul(a, b), perm_mul(perm_inv(a), perm_inv(b)))
+def _row_keys(rows):
+    """The bytes of each row of a 2-D array."""
+    count, degree = rows.shape
+    if not degree:
+        return [b""] * count
+    row = np.dtype((np.void, degree * rows.itemsize))
+    return np.ascontiguousarray(rows).view(row).ravel().tolist()
 
 
 class PermGroup:
@@ -51,47 +51,72 @@ class PermGroup:
                 gens.append(g)
         self.generators = gens
         self.cap = cap
+        self.dtype = np.min_scalar_type(max(degree - 1, 0))
         self._elements = None
+        self._index = None
 
     @classmethod
     def trivial(cls, degree, cap=DEFAULT_CAP):
         return cls(degree, [], cap=cap)
 
+    def generator_array(self):
+        """The generators, one per row."""
+        return np.array(self.generators, dtype=self.dtype).reshape(-1, self.degree)
+
     def elements(self, cap=None):
+        """All elements, one per row of a read-only array, identity first."""
         if self._elements is not None:
             return self._elements
         cap = self.cap if cap is None else cap
-        ident = identity_perm(self.degree)
-        elems = {ident}
-        k = len(self.generators)
-        gens = np.array(self.generators, dtype=np.intp).reshape(k, self.degree)
-        gens = np.concatenate([gens, np.argsort(gens, axis=1)])
-        frontier = [ident]
-        while frontier:
-            F = np.array(frontier, dtype=np.intp)
-            frontier = []
-            for g in gens:
-                # row i is perm_mul(g, F[i])
-                new = [q for q in map(tuple, g[F].tolist()) if q not in elems]
-                elems.update(new)
-                if len(elems) > cap:
-                    raise OrderCapExceeded(cap)
-                frontier += new
-        self._elements = frozenset(elems)
-        return self._elements
+        gens = self.generator_array()
+        elems = np.arange(self.degree, dtype=self.dtype)[None]
+        index = {elems.tobytes()}
+        for i in range(len(gens)):
+            if gens[i].tobytes() in index:
+                continue
+            D = elems
+            cosets = [D]
+            # the list grows while it is read: the coset a[D] starts with a,
+            # and s*a for each generator s so far represents a coset of D
+            for coset in cosets:
+                for a in gens[: i + 1, coset[0]]:
+                    if a.tobytes() not in index:
+                        if (len(cosets) + 1) * len(D) > cap:
+                            raise OrderCapExceeded(cap)
+                        cosets.append(a[D])
+                        index.update(_row_keys(cosets[-1]))
+            elems = np.concatenate(cosets)
+        elems.setflags(write=False)
+        self._index = index
+        self._elements = elems
+        return elems
 
     def order(self):
         return len(self.elements())
 
     def contains(self, p):
-        return tuple(p) in self.elements()
+        """Is p in the group?  For a stack of permutations, one per row,
+        a boolean array with one entry per row."""
+        self.elements()
+        rows = np.asarray(p)
+        single = rows.ndim == 1
+        if single:
+            rows = rows[None]
+        valid = True
+        if rows.dtype != self.dtype:
+            # the cast may wrap an entry out of range onto a member's
+            valid = ((rows >= 0) & (rows < self.degree)).all(axis=1)
+            rows = rows.astype(self.dtype)
+        keys = _row_keys(rows)
+        hits = np.fromiter(map(self._index.__contains__, keys), bool, len(keys)) & valid
+        return bool(hits[0]) if single else hits
 
     def is_trivial(self):
-        return not self.generators or self.order() == 1
+        # the generators exclude the identity
+        return not self.generators
 
     def is_subgroup_of(self, other):
-        elems = other.elements()
-        return all(g in elems for g in self.generators)
+        return bool(other.contains(self.generator_array()).all())
 
     def equals(self, other):
         return self.is_subgroup_of(other) and other.is_subgroup_of(self)
@@ -108,24 +133,27 @@ def is_subgroup(H, G):
 
 
 def normal_closure(S, G):
-    """Smallest subgroup of <G union S> containing S and normalized by G."""
-    ident = identity_perm(G.degree)
-    gens = [tuple(s) for s in S if tuple(s) != ident]
-    N = PermGroup(G.degree, gens, cap=G.cap)
-    conj_by = G.generators + [perm_inv(g) for g in G.generators]
-    changed = True
-    while changed:
-        changed = False
-        elems = N.elements()
-        for g in conj_by:
-            g_inv = perm_inv(g)
-            for s in list(N.generators):
-                t = perm_mul(perm_mul(g, s), g_inv)
-                if t not in elems:
-                    N = PermGroup(G.degree, N.generators + [t], cap=G.cap)
-                    elems = N.elements()
-                    changed = True
-    return N
+    """Smallest subgroup of <G union S> containing S and normalized by G.
+
+    Each round conjugates every generator of N by every generator of G and
+    its inverse in one gather, and adds all conjugates outside N at once.
+    """
+    N = PermGroup(G.degree, S, cap=G.cap)
+    if not N.generators or not G.generators:
+        return N
+    g = G.generator_array()
+    inv = np.argsort(g, axis=1).astype(g.dtype)
+    g, g_inv = np.concatenate([g, inv]), np.concatenate([inv, g])
+    offsets = np.arange(0, g.size, G.degree)[:, None]
+    flat = g.ravel()
+    while True:
+        s = N.generator_array()
+        # t[j, i] = g_i s_j g_i^-1, i.e. x -> g_i[s_j[g_i^-1[x]]]
+        t = flat[s[:, g_inv] + offsets].reshape(-1, G.degree)
+        missing = t[~N.contains(t)]
+        if not len(missing):
+            return N
+        N = PermGroup(G.degree, N.generators + missing.tolist(), cap=G.cap)
 
 
 def commutator_subgroup(G, H):
@@ -135,7 +163,14 @@ def commutator_subgroup(G, H):
     subgroup is normal in G and generated by the commutators of generators
     up to normal closure.
     """
-    comms = [perm_comm(g, h) for g in G.generators for h in H.generators]
+    comms = []
+    if G.generators and H.generators:
+        a, b = G.generator_array(), H.generator_array()
+        # comms[i, j] = [a_i, b_j], i.e. x -> a_i[b_j[a_i^-1[b_j^-1[x]]]]
+        comms = np.argsort(a, axis=1)[:, np.argsort(b, axis=1)]
+        comms = b.ravel()[comms + np.arange(0, b.size, G.degree)[:, None]]
+        comms = a.ravel()[comms + np.arange(0, a.size, G.degree)[:, None, None]]
+        comms = comms.reshape(-1, G.degree).tolist()
     ambient = PermGroup(G.degree, G.generators + H.generators, cap=G.cap)
     return normal_closure(comms, ambient)
 

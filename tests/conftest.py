@@ -26,10 +26,11 @@ def direct_product(A, B):
 
 
 def _cayley_from_perms(generators, degree):
+    from oracles import element_set
     from quandlekit.permgroup import PermGroup
 
     G = PermGroup(degree, generators)
-    elems = sorted(G.elements())
+    elems = sorted(element_set(G.elements()))
     idx = {e: i for i, e in enumerate(elems)}
     return [
         [idx[tuple(a[b[x]] for x in range(degree))] for b in elems] for a in elems

@@ -14,9 +14,11 @@ from quandlekit import finite_quandle as fq
 from quandlekit import kernels
 from quandlekit import nilpotency as nil
 from quandlekit import welded as wd
-from quandlekit.errors import AxiomViolation, InvalidRange, NotAQuandle, OrderCapExceeded
+from quandlekit.errors import (
+    AxiomViolation, InvalidRange, NotAQuandle, OrderCapExceeded, ParseError,
+)
 from quandlekit.magnus import qd, quandle_elt
-from quandlekit.permgroup import PermGroup, identity_perm, perm_inv, perm_mul
+from quandlekit.permgroup import PermGroup, identity_perm, perm_mul
 
 
 def check_generation_criterion(Q):
@@ -80,9 +82,15 @@ def check_free_2nilp_is_Q00(depth):
     return True
 
 
+def element_set(elements):
+    """An element array, one permutation per row as `PermGroup.elements`
+    returns it, as a frozenset of tuples."""
+    return frozenset(map(tuple, elements.tolist()))
+
+
 def center(G):
     """Centre of a permutation group, by testing every element."""
-    elems = G.elements()
+    elems = element_set(G.elements())
     gens = G.generators
     central = [
         p for p in elems if all(perm_mul(p, g) == perm_mul(g, p) for g in gens)
@@ -105,6 +113,18 @@ def first_moving_braid(Q, n, c):
 
 # -- loop versions of the array code -------------------------------------------
 
+def perm_inv(a):
+    out = [0] * len(a)
+    for x, y in enumerate(a):
+        out[y] = x
+    return tuple(out)
+
+
+def perm_comm(a, b):
+    """[a, b] = a b a^-1 b^-1."""
+    return perm_mul(perm_mul(a, b), perm_mul(perm_inv(a), perm_inv(b)))
+
+
 def elements_bfs(G, cap):
     """Element set of G by BFS, one perm_mul per (element, generator)."""
     ident = identity_perm(G.degree)
@@ -123,6 +143,68 @@ def elements_bfs(G, cap):
                     nxt.append(q)
         frontier = nxt
     return frozenset(elems)
+
+
+def normal_closure_conjugates(S, G):
+    """Element set of the normal closure of S under G: the group generated
+    by x s x^-1 for every element x of G and every s in S."""
+    conjugates = [
+        perm_mul(perm_mul(x, s), perm_inv(x))
+        for x in elements_bfs(G, G.cap) for s in map(tuple, S)
+    ]
+    return elements_bfs(PermGroup(G.degree, conjugates), G.cap)
+
+
+def normality_witness_loops(Q, G):
+    """The first (row of x, g), x outermost, with row * g * row^-1 not in G,
+    or None."""
+    elems = elements_bfs(G, G.cap)
+    for x in range(Q.n):
+        s = Q.row(x)
+        for g in G.generators:
+            if perm_mul(perm_mul(s, g), perm_inv(s)) not in elems:
+                return (s, g)
+    return None
+
+
+def parse_rack_int(text, require_quandle=False):
+    """parse_rack with every token read by int() and every entry range
+    checked."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append(([int(tok) for tok in line.split()], lineno))
+        except ValueError:
+            raise ParseError(lineno, f"non-integer token in {line!r}")
+    if not rows:
+        raise ParseError(1, "empty file")
+    header, lineno = rows[0]
+    if len(header) != 1 or header[0] < 0:
+        raise ParseError(lineno, "first line must be the element count")
+    n = header[0]
+    if len(rows) - 1 != n:
+        raise ParseError(lineno, f"expected {n} table rows, got {len(rows) - 1}")
+    table = []
+    for row, lineno in rows[1:]:
+        if len(row) != n:
+            raise ParseError(lineno, f"expected {n} entries, got {len(row)}")
+        if any(v < 0 or v >= n for v in row):
+            raise ParseError(lineno, "entry out of range")
+        table.append(row)
+    if n == 0:
+        return fq.validate(np.zeros((0, 0), dtype=np.int64), require_quandle)
+    return fq.validate(table, require_quandle)
+
+
+def dump_rack_str(Q):
+    """dump_rack with one str() per entry."""
+    lines = [str(Q.n)]
+    for x in range(Q.n):
+        lines.append(" ".join(str(v) for v in Q.row(x)))
+    return "\n".join(lines) + "\n"
 
 
 def check_rack_loops(table, require_quandle=False):
@@ -160,6 +242,16 @@ def orbit_classes_loops(Q):
     for x in range(Q.n):
         for y in range(Q.n):
             uf.union(x, Q.op(y, x))
+    return fq.Congruence(Q, uf.class_of()).class_of
+
+
+def group_orbit_classes_loops(Q, G):
+    """Orbit partition of Q's points under G, joining x to g(x) for every
+    generator g."""
+    uf = fq._UnionFind(Q.n)
+    for g in G.generators:
+        for x, gx in enumerate(g):
+            uf.union(x, gx)
     return fq.Congruence(Q, uf.class_of()).class_of
 
 

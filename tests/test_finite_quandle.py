@@ -96,8 +96,13 @@ def test_quotient_by_subgroup_rejects_unnormalized():
     H = PermGroup(Q.n, [Q.row(1)])
     rows = {Q.row(x) for x in range(Q.n)}
     assert len(rows) > 1
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized) as err:
         fq.quotient_by_subgroup(Q, H)
+    # the first distinct row and the generator its conjugate misses
+    assert str(err.value) == (
+        "subgroup not normalized by inner group, witness "
+        "((0, 5, 2, 4, 3, 1), (0, 1, 5, 4, 3, 2))"
+    )
 
 
 def test_is_covering():

@@ -11,9 +11,10 @@ from quandlekit.words import parse_word
 
 def _s3_elements():
     """Index lookup for S3 under the conftest ordering (sorted tuples)."""
+    from oracles import element_set
     from quandlekit.permgroup import PermGroup
 
-    elems = sorted(PermGroup(3, [(1, 0, 2), (0, 2, 1)]).elements())
+    elems = sorted(element_set(PermGroup(3, [(1, 0, 2), (0, 2, 1)]).elements()))
     return {e: i for i, e in enumerate(elems)}
 
 

@@ -223,7 +223,7 @@ def test_analyze_memory_on_dihedral_9():
 
 
 def test_analyze_memory_on_q_mn_48():
-    """Inn Q's 2304 elements are held once, as the tuples `elements()`
-    returns (about 4.6 MB traced)."""
+    """Inn Q's 2304 elements are held once, as the uint8 array `elements()`
+    returns, next to the set of their row bytes (about 3.3 MB traced)."""
     Q = fq.q_mn(48, 48)
-    assert _traced_peak(lambda: nilpotency.analyze(Q)) < 6 * 2**20
+    assert _traced_peak(lambda: nilpotency.analyze(Q)) < 4 * 2**20

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from conftest import dihedral, symmetric3
-from oracles import check_generation_criterion
+from oracles import check_generation_criterion, element_set
 from quandlekit import finite_quandle as fq
 from quandlekit import nilpotency as nil
 from quandlekit import kernels, permgroup
@@ -238,16 +238,22 @@ def _dihedral_quandle(n):
 
 @pytest.mark.parametrize("name", ["q23", "R8", "conjS3"])
 def test_analyze_builds_one_series_and_one_inner_group(monkeypatch, name):
+    """One series, one walk and one enumeration of Inn Q per analyze.  The
+    series still goes through lower_central_series and normal_closure,
+    which perfbench's classify workload requires to be called (CALLED_ON
+    in perfbench/test_perfbench.py)."""
     Q = {
         "q23": fq.q_mn(2, 3),
         "R8": _dihedral_quandle(8),  # class 3
         "conjS3": fq.conj_quandle(symmetric3()),
     }[name]
-    inn = nil.inn_group(Q).elements()
+    inn = element_set(nil.inn_group(Q).elements())
     series_calls = []
+    closures = []
     enumerated = []
     walks = []
     lcs = permgroup.lower_central_series
+    closure = permgroup.normal_closure
     elements = permgroup.PermGroup.elements
 
     class CountingWalk(kernels._Walk):
@@ -259,19 +265,25 @@ def test_analyze_builds_one_series_and_one_inner_group(monkeypatch, name):
         series_calls.append(G)
         return lcs(G)
 
+    def counting_closure(S, G):
+        closures.append(G)
+        return closure(S, G)
+
     def counting_elements(self, cap=None):
         fresh = self._elements is None
         result = elements(self, cap)
         if fresh:
-            enumerated.append(result)
+            enumerated.append(element_set(result))
         return result
 
     monkeypatch.setattr(permgroup, "lower_central_series", counting_lcs)
+    monkeypatch.setattr(permgroup, "normal_closure", counting_closure)
     monkeypatch.setattr(permgroup.PermGroup, "elements", counting_elements)
     monkeypatch.setattr(kernels, "_Walk", CountingWalk)
     report = nil.analyze(Q)
     assert report.inn_order == len(inn)
     assert len(series_calls) == 1
+    assert closures
     assert len(walks) == 1
     assert sum(group == inn for group in enumerated) == 1
     if name == "q23":
