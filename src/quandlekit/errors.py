@@ -58,6 +58,15 @@ class InfiniteOrbit(QuandlekitError):
         super().__init__(f"orbit {orbit} is infinite (rank-deficient stabilizer)")
 
 
+class InvalidOrbitLattice(QuandlekitError):
+    """Two-nilpotent data whose lattice H_orbit is not a sublattice of Z^n
+    containing e_orbit, for n orbits."""
+
+    def __init__(self, orbit, message):
+        self.orbit = orbit
+        super().__init__(message)
+
+
 class NotTwoNilpotent(QuandlekitError):
     pass
 

@@ -176,31 +176,39 @@ def q_10_truncated(k):
 
 
 def validate_cayley(cayley):
-    """Check a Cayley table is a group; return (identity, inverse list)."""
+    """Check a Cayley table is a group; return (identity, inverse list).
+
+    The identity is the least two-sided one, the inverse of a the greatest
+    two-sided one, and a failure is reported at the least element or the
+    least (a, b, c).  Associativity is checked one a at a time, comparing
+    (ab)c with a(bc) over all (b, c) in one gather each, so memory stays
+    O(g^2).
+    """
     g = len(cayley)
-    tab = [list(map(int, row)) for row in cayley]
-    for row in tab:
-        if len(row) != g or any(v < 0 or v >= g for v in row):
-            raise InvalidGroup("malformed Cayley table")
-    ident = None
-    for e in range(g):
-        if all(tab[e][h] == h and tab[h][e] == h for h in range(g)):
-            ident = e
-            break
-    if ident is None:
+    rows = [list(map(int, row)) for row in cayley]
+    if any(len(row) != g for row in rows):
+        raise InvalidGroup("malformed Cayley table")
+    try:
+        tab = np.array(rows, dtype=np.int64).reshape(g, g)
+    except OverflowError:
+        raise InvalidGroup("malformed Cayley table")
+    if g and (tab.min() < 0 or tab.max() >= g):
+        raise InvalidGroup("malformed Cayley table")
+    elems = np.arange(g)
+    two_sided = (tab == elems).all(axis=1) & (tab.T == elems).all(axis=1)
+    if not two_sided.any():
         raise InvalidGroup("no identity element")
-    inv = [None] * g
+    ident = int(np.argmax(two_sided))
+    inverse = (tab == ident) & (tab.T == ident)
+    has_inverse = inverse.any(axis=1)
+    if not has_inverse.all():
+        raise InvalidGroup(f"element {int(np.argmin(has_inverse))} has no inverse")
+    inv = (g - 1 - np.argmax(inverse[:, ::-1], axis=1)).tolist()
     for a in range(g):
-        for b in range(g):
-            if tab[a][b] == ident and tab[b][a] == ident:
-                inv[a] = b
-        if inv[a] is None:
-            raise InvalidGroup(f"element {a} has no inverse")
-    for a in range(g):
-        for b in range(g):
-            for c in range(g):
-                if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                    raise InvalidGroup(f"associativity fails at ({a},{b},{c})")
+        bad = tab[tab[a]] != tab[a][tab]
+        if bad.any():
+            b, c = divmod(int(np.argmax(bad)), g)
+            raise InvalidGroup(f"associativity fails at ({a},{b},{c})")
     return ident, inv
 
 
@@ -258,6 +266,10 @@ def pi0(Q):
 
 def quotient_by_congruence(Q, cong):
     """Quotient rack and the projection morphism."""
+    if cong.class_of == tuple(range(Q.n)):
+        # classes are numbered in order of first appearance, so this is
+        # the identity congruence, whose quotient is Q
+        return Q, QuandleMorphism(Q, Q, cong.class_of)
     class_of = np.array(cong.class_of, dtype=np.int64)
     # classes are numbered in order of first appearance
     reps = np.unique(class_of, return_index=True)[1]

@@ -3,9 +3,14 @@
 Given a group G with subgroups H_i and elements z_i, the disjoint union
 of the coset spaces G/H_i carries the law xH_i |> yH_j = x z_i x^-1 yH_j
 whenever the action of each H_i commutes with z_i everywhere; z_i in H_i
-upgrades the rack to a quandle.  Presentation data for the enveloping
-group (one generator per orbit, commutator relators from stabilizer
-words) is emitted from any finite quandle with a generating transversal.
+upgrades the rack to a quandle.  Coset yH_i is named by its least
+element, rep_i[y] = min_h yh, one gather over the Cayley table per
+subgroup; the conditions and the table are then checked and built one
+gather per (orbit, subgroup) block, not one element pair at a time.
+
+Presentation data for the enveloping group (one generator per orbit,
+commutator relators from stabilizer words) is emitted from any finite
+quandle with a generating transversal.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import finite_quandle as fq
-from .errors import InvalidData, InvalidGroup, NotGeneratedByTransversal
+from .errors import CapExceeded, InvalidData, InvalidGroup, NotGeneratedByTransversal
 from .finite_quandle import validate_cayley
 from .words import free_reduce, invert
 
@@ -30,7 +35,11 @@ __all__ = [
 
 
 class GroupData:
-    """Finite group (Cayley table) with chosen subgroups H_i and elements z_i."""
+    """Finite group (Cayley table) with chosen subgroups H_i and elements z_i.
+
+    `table` is the Cayley table as an array, and coset_reps[i][y] is the
+    least element of the coset yH_i.
+    """
 
     def __init__(self, cayley, Hs, zs):
         self.cayley = [list(map(int, row)) for row in cayley]
@@ -55,17 +64,8 @@ class GroupData:
         self.zs = [int(z) for z in zs]
         if any(z < 0 or z >= g for z in self.zs):
             raise InvalidGroup("z element out of range")
-
-    def mul(self, a, b):
-        return self.cayley[a][b]
-
-    def conj(self, a, b):
-        """a b a^-1."""
-        return self.mul(self.mul(a, b), self.inv[a])
-
-    def coset_rep(self, y, i):
-        """Canonical (minimal) element of y H_i."""
-        return min(self.mul(y, h) for h in self.Hs[i])
+        self.table = np.array(self.cayley, dtype=np.int64)
+        self.coset_reps = [self.table[:, H].min(axis=1) for H in self.Hs]
 
 
 @dataclass
@@ -80,46 +80,49 @@ def validate_data(D, rack_mode=False):
     Condition 1: for each i, every commutator [h, z_i] with h in H_i acts
     trivially on every coset space G/H_j.  Quandle mode adds z_i in H_i.
     """
-    g = len(D.cayley)
+    T = D.table
     for i, (H, z) in enumerate(zip(D.Hs, D.zs)):
         if not rack_mode and z not in H:
             return False, ("z_not_in_H", i)
         for h in H:
-            comm = D.mul(D.mul(h, z), D.inv[D.mul(z, h)])
+            comm = T[T[h, z], D.inv[T[z, h]]]
             if comm == D.identity:
                 continue
-            for j in range(len(D.Hs)):
-                for y in range(g):
-                    moved = D.mul(comm, y)
-                    if D.coset_rep(moved, j) != D.coset_rep(y, j):
-                        return False, ("noncommuting", i, h, j, y)
+            for j, rep in enumerate(D.coset_reps):
+                moved = rep[T[comm]] != rep
+                if moved.any():
+                    return False, ("noncommuting", i, h, j, int(np.argmax(moved)))
     return True, None
 
 
 def build(D, rack_mode=False, cap=10**6):
-    """Rack/quandle on the disjoint union of the coset spaces."""
+    """Rack/quandle on the disjoint union of the coset spaces; returns
+    (rack, labels) with labels[a] = (i, least element of the coset).
+
+    Labels are numbered by subgroup, then in order of first appearance
+    over y = 0, 1, ...; a coset first appears at its least element y,
+    the one with rep_i[y] = y, so that is ascending order of y.
+    """
     ok, witness = validate_data(D, rack_mode)
     if not ok:
         raise InvalidData(witness)
-    g = len(D.cayley)
-    labels = []
-    index = {}
-    for i in range(len(D.Hs)):
-        for y in range(g):
-            rep = D.coset_rep(y, i)
-            if (i, rep) not in index:
-                index[(i, rep)] = len(labels)
-                labels.append((i, rep))
+    T = D.table
+    reps = [np.flatnonzero(rep == np.arange(len(T))) for rep in D.coset_reps]
+    labels = [(i, y) for i, ys in enumerate(reps) for y in ys.tolist()]
     size = len(labels)
     if size > cap:
-        from .errors import CapExceeded
-
         raise CapExceeded(cap)
+    xs = np.array([x for _, x in labels], dtype=np.int64)
+    zs = np.array(D.zs, dtype=np.int64)[[i for i, _ in labels]]
+    # row a acts on every coset by left multiplication with x_a z_i x_a^-1
+    conj = T[T[xs, zs], np.array(D.inv, dtype=np.int64)[xs]]
     table = np.empty((size, size), dtype=np.int64)
-    for a, (i, x) in enumerate(labels):
-        zi_conj = D.conj(x, D.zs[i])
-        for b, (j, y) in enumerate(labels):
-            table[a, b] = index[(j, D.coset_rep(D.mul(zi_conj, y), j))]
+    start = 0
+    for rep, ys in zip(D.coset_reps, reps):
+        label_of = np.empty(len(T), dtype=np.int64)
+        label_of[ys] = np.arange(start, start + len(ys))
+        table[:, start:start + len(ys)] = label_of[rep[T[conj[:, None], ys]]]
+        start += len(ys)
     return fq.validate(table, require_quandle=not rack_mode), labels
 
 

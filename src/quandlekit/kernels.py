@@ -15,7 +15,9 @@ earlier one; the walk stops at the first such repeat, and every later
 layer is read from the cycle it closes.  Both identities hold for every
 c past the first that satisfies them, so checking c up to the repeat
 decides each class exactly.  Since |S_k| <= n^k, the walk never does
-more work than a scan of all n^(c+1) tuples.
+more work than a scan of all n^(c+1) tuples.  In the reductivity check
+x1 enters only through its row, so, as for self-distributivity, it runs
+once per distinct row, at its least x1.
 
 The welded-braid detector works on permutation images.  Each generator
 K_ij permutes the m^n colour tuples of Q^n, flattened to indices, so a
@@ -73,11 +75,14 @@ class _Walk:
     it.  Growth stops at the first layer S_end equal (by bytes) to an
     earlier S_start; a depth past end is read from the cycle start+1..end.
     Parent pointers stay valid there: equal sets of maps give equal sorted
-    arrays, so S_end's array is S_start's.
+    arrays, so S_end's array is S_start's.  `rows` is the least x of each
+    distinct row of the table, ascending, and `row_table` those rows.
     """
 
     def __init__(self, table):
         n = table.shape[0]
+        self.rows = distinct_rows(table)
+        self.row_table = table[self.rows]
         self._cols = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(n - 1))
         identity = np.arange(n, dtype=self._cols.dtype)[None, :]
         self._layers = [(identity, None, None)]
@@ -125,6 +130,8 @@ def reductive_witness(table, c, walk=None):
     dropped, or None.
 
     f in S_{c-1} breaks c-reductivity iff f(x1 |> x2) != f(x2) somewhere.
+    x1 enters only through its row, so only the least x1 of each distinct
+    row is tried; that gives the same first (f, x1, x2) as trying every x1.
     `walk` is a walk over the same table, reused across calls.
     """
     if c < 1:
@@ -134,11 +141,11 @@ def reductive_witness(table, c, walk=None):
     if walk is None:
         walk = _Walk(table)
     maps = walk.layer(c - 1)[0]
-    bad = maps[:, table] != maps[:, None, :]
+    bad = maps[:, walk.row_table] != maps[:, None, :]
     if not bad.any():
         return None
-    i, x1, x2 = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return walk.witness((x1, x2), c - 1, i)
+    i, k, x2 = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return walk.witness((walk.rows[k], x2), c - 1, i)
 
 
 def weak_witness(table, c, walk=None):

@@ -6,6 +6,8 @@ pivots, entries above each pivot reduced into [0, pivot), zero rows
 dropped, so lattice equality is plain matrix equality.
 """
 
+from itertools import product
+
 from .errors import CapExceeded, InfiniteIndex, ParseError
 
 
@@ -194,28 +196,16 @@ class IntLattice:
         return out
 
     def cosets(self, cap=10**6):
-        """All canonical coset representatives (finite index only)."""
+        """All canonical coset representatives (finite index only), sorted.
+
+        At finite index the HNF has a pivot p_j in every column j, and
+        `reduce` leaves exactly the vectors with 0 <= v_j < p_j.  So the
+        representatives are that box, which `product` lists in sorted order.
+        """
         total = self.index()
         if total > cap:
             raise CapExceeded(cap)
-        zero = tuple(0 for _ in range(self.n))
-        seen = {self.reduce(zero)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for rep in frontier:
-                for j in range(self.n):
-                    for delta in (1, -1):
-                        v = list(rep)
-                        v[j] += delta
-                        r = self.reduce(v)
-                        if r not in seen:
-                            seen.add(r)
-                            nxt.append(r)
-            frontier = nxt
-        reps = sorted(seen)
-        assert len(reps) == total
-        return reps
+        return list(product(*(range(row[col]) for row, col in zip(self.basis, self._pivots))))
 
 
 def member(v, L):
@@ -252,8 +242,6 @@ def wedge_vector(i, h, n):
 def wedge_image(Hs):
     """The sublattice sum_i e_i ^ H_i of Lambda^2(Z^n)."""
     n = len(Hs)
-    if n < 1:
-        raise ValueError("need at least one lattice")
     for H in Hs:
         if H.n != n:
             raise ValueError("each lattice must live in Z^n with n = len(Hs)")

@@ -13,7 +13,7 @@ equality means mutual membership of generators.
 
 import numpy as np
 
-from .errors import OrderCapExceeded
+from .errors import InvalidGroup, OrderCapExceeded
 
 DEFAULT_CAP = 10**6
 
@@ -49,9 +49,21 @@ class PermGroup:
             if g != ident and g not in seen:
                 seen.add(g)
                 gens.append(g)
+        try:
+            arr = np.array(gens, dtype=np.int64).reshape(len(gens), degree)
+            # a row is a permutation iff sorting it gives 0..degree-1
+            ok = not (np.sort(arr, axis=1) != np.arange(degree)).any()
+        except (OverflowError, ValueError):
+            # an entry past int64, or a generator of another length
+            ok = False
+        if not ok:
+            g = next(g for g in gens if sorted(g) != list(ident))
+            raise InvalidGroup(f"generator {g} is not a permutation of {degree} points")
         self.generators = gens
         self.cap = cap
         self.dtype = np.min_scalar_type(max(degree - 1, 0))
+        self._generator_array = arr.astype(self.dtype)
+        self._generator_array.setflags(write=False)
         self._elements = None
         self._index = None
 
@@ -60,8 +72,8 @@ class PermGroup:
         return cls(degree, [], cap=cap)
 
     def generator_array(self):
-        """The generators, one per row."""
-        return np.array(self.generators, dtype=self.dtype).reshape(-1, self.degree)
+        """The generators, one per row of a read-only array."""
+        return self._generator_array
 
     def elements(self, cap=None):
         """All elements, one per row of a read-only array, identity first."""

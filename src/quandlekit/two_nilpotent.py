@@ -14,7 +14,9 @@ import numpy as np
 
 from . import finite_quandle as fq
 from . import nilpotency
-from .errors import CapExceeded, InfiniteIndex, InfiniteOrbit, NotTwoNilpotent, ParseError
+from .errors import (
+    CapExceeded, InfiniteIndex, InfiniteOrbit, InvalidOrbitLattice, NotTwoNilpotent, ParseError,
+)
 from .lattice import IntLattice, hnf, wedge_image, wedge_vector
 
 
@@ -26,10 +28,10 @@ class TwoNilpotentData:
         self.Hs = list(Hs)
         for i, H in enumerate(self.Hs):
             if H.n != self.n:
-                raise ValueError("lattice ambient dimension must equal orbit count")
+                raise InvalidOrbitLattice(i, f"H_{i} lies in Z^{H.n}, not Z^{self.n}")
             e_i = [1 if j == i else 0 for j in range(self.n)]
             if not H.member(e_i):
-                raise ValueError(f"H_{i} does not contain e_{i}")
+                raise InvalidOrbitLattice(i, f"H_{i} does not contain e_{i}")
 
     def __eq__(self, other):
         return isinstance(other, TwoNilpotentData) and self.Hs == other.Hs
@@ -88,7 +90,9 @@ def three_orbit_data(k):
 def build_quandle(D, cap=10**6):
     """Operation table of the quandle defined by D; returns (rack, labels).
 
-    labels[x] = (orbit index, canonical coset representative).
+    labels[x] = (orbit index, canonical coset representative).  Every x
+    in orbit i acts by the same row y -> e_i + y, so the table is one row
+    per orbit, gathered by orbit: n * size calls to `reduce`, not size^2.
     """
     labels = []
     for i, H in enumerate(D.Hs):
@@ -96,19 +100,18 @@ def build_quandle(D, cap=10**6):
             reps = H.cosets(cap)
         except InfiniteIndex:
             raise InfiniteOrbit(i)
-        for rep in reps:
-            labels.append((i, rep))
+        labels.extend((i, rep) for rep in reps)
         if len(labels) > cap:
             raise CapExceeded(cap)
-    size = len(labels)
     index = {lab: x for x, lab in enumerate(labels)}
-    table = np.empty((size, size), dtype=np.int64)
-    for x, (i, _) in enumerate(labels):
+    rows = np.empty((D.n, len(labels)), dtype=np.int64)
+    for i in range(D.n):
         for y, (j, h) in enumerate(labels):
             shifted = list(h)
             shifted[i] += 1
-            table[x, y] = index[(j, D.Hs[j].reduce(shifted))]
-    return fq.validate(table, require_quandle=True), labels
+            rows[i, y] = index[(j, D.Hs[j].reduce(shifted))]
+    orbit_of = np.array([i for i, _ in labels], dtype=np.int64)
+    return fq.validate(rows[orbit_of], require_quandle=True), labels
 
 
 def extract_data(Q, cap=10**6):
@@ -253,7 +256,10 @@ def is_injective_2nilp(D, cap=10**6):
 
     The image of a coset gH_i is determined by (e_i, class of g^e_i), so
     injectivity fails exactly when two distinct cosets of some H_i have
-    wedge difference inside the relator lattice.
+    wedge difference inside the relator lattice.  The wedge is linear and
+    `W.reduce` gives each class of Lambda^2 / W one representative, so that
+    happens exactly when two cosets reduce to the same wedge: one `reduce`
+    per coset, not one per pair.
     """
     W = wedge_image(D.Hs)
     for i, H in enumerate(D.Hs):
@@ -261,11 +267,12 @@ def is_injective_2nilp(D, cap=10**6):
             reps = H.cosets(cap)
         except InfiniteIndex:
             raise InfiniteOrbit(i)
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                diff = [x - y for x, y in zip(reps[a], reps[b])]
-                if W.member(wedge_vector(i, diff, D.n)):
-                    return False
+        seen = set()
+        for rep in reps:
+            key = W.reduce(wedge_vector(i, rep, D.n))
+            if key in seen:
+                return False
+            seen.add(key)
     return True
 
 

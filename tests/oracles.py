@@ -3,7 +3,8 @@
 Each checks a theorem by exhaustion on small cases (all small subsets,
 a ball of words, a full element set, every braid word), so it has no place
 in the library.  The loop versions of the array code in `permgroup`,
-`finite_quandle` and `kernels` are kept here as references for it.
+`finite_quandle`, `kernels`, `lattice`, `two_nilpotent` and `group_model`
+are kept here as references for it.
 """
 
 from itertools import combinations
@@ -15,8 +16,10 @@ from quandlekit import kernels
 from quandlekit import nilpotency as nil
 from quandlekit import welded as wd
 from quandlekit.errors import (
-    AxiomViolation, InvalidRange, NotAQuandle, OrderCapExceeded, ParseError,
+    AxiomViolation, CapExceeded, InfiniteIndex, InfiniteOrbit, InvalidData, InvalidGroup,
+    InvalidRange, NotAQuandle, OrderCapExceeded, ParseError,
 )
+from quandlekit.lattice import wedge_image, wedge_vector
 from quandlekit.magnus import qd, quandle_elt
 from quandlekit.permgroup import PermGroup, identity_perm, perm_mul
 
@@ -290,3 +293,157 @@ def reduced_witness_loops(Q):
             if class_of[x] == class_of[y] and Q.op(y, x) != x:
                 return (y, x)
     return None
+
+
+def reductive_witness_all_rows(table, c):
+    """reductive_witness with every x1 tried, not one per distinct row."""
+    if table.shape[0] == 0:
+        return None
+    walk = kernels._Walk(table)
+    maps = walk.layer(c - 1)[0]
+    bad = maps[:, table] != maps[:, None, :]
+    if not bad.any():
+        return None
+    i, x1, x2 = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return walk.witness((x1, x2), c - 1, i)
+
+
+def cosets_bfs(L, cap):
+    """Canonical coset representatives by BFS from 0, one reduce per step."""
+    total = L.index()
+    if total > cap:
+        raise CapExceeded(cap)
+    zero = tuple(0 for _ in range(L.n))
+    seen = {L.reduce(zero)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            for j in range(L.n):
+                for delta in (1, -1):
+                    v = list(rep)
+                    v[j] += delta
+                    r = L.reduce(v)
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+        frontier = nxt
+    reps = sorted(seen)
+    assert len(reps) == total
+    return reps
+
+
+def build_quandle_loops(D, cap):
+    """two_nilpotent.build_quandle with one reduce per table entry."""
+    labels = []
+    for i, H in enumerate(D.Hs):
+        try:
+            reps = cosets_bfs(H, cap)
+        except InfiniteIndex:
+            raise InfiniteOrbit(i)
+        for rep in reps:
+            labels.append((i, rep))
+        if len(labels) > cap:
+            raise CapExceeded(cap)
+    size = len(labels)
+    index = {lab: x for x, lab in enumerate(labels)}
+    table = np.empty((size, size), dtype=np.int64)
+    for x, (i, _) in enumerate(labels):
+        for y, (j, h) in enumerate(labels):
+            shifted = list(h)
+            shifted[i] += 1
+            table[x, y] = index[(j, D.Hs[j].reduce(shifted))]
+    return fq.validate(table, require_quandle=True), labels
+
+
+def is_injective_pairs(D, cap):
+    """two_nilpotent.is_injective_2nilp testing every pair of cosets."""
+    W = wedge_image(D.Hs)
+    for i, H in enumerate(D.Hs):
+        try:
+            reps = cosets_bfs(H, cap)
+        except InfiniteIndex:
+            raise InfiniteOrbit(i)
+        for a in range(len(reps)):
+            for b in range(a + 1, len(reps)):
+                diff = [x - y for x, y in zip(reps[a], reps[b])]
+                if W.member(wedge_vector(i, diff, D.n)):
+                    return False
+    return True
+
+
+def validate_cayley_loops(cayley):
+    """finite_quandle.validate_cayley one entry or triple at a time."""
+    g = len(cayley)
+    tab = [list(map(int, row)) for row in cayley]
+    for row in tab:
+        if len(row) != g or any(v < 0 or v >= g for v in row):
+            raise InvalidGroup("malformed Cayley table")
+    ident = None
+    for e in range(g):
+        if all(tab[e][h] == h and tab[h][e] == h for h in range(g)):
+            ident = e
+            break
+    if ident is None:
+        raise InvalidGroup("no identity element")
+    inv = [None] * g
+    for a in range(g):
+        for b in range(g):
+            if tab[a][b] == ident and tab[b][a] == ident:
+                inv[a] = b
+        if inv[a] is None:
+            raise InvalidGroup(f"element {a} has no inverse")
+    for a in range(g):
+        for b in range(g):
+            for c in range(g):
+                if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
+                    raise InvalidGroup(f"associativity fails at ({a},{b},{c})")
+    return ident, inv
+
+
+def _coset_rep(D, y, i):
+    """Least element of y H_i."""
+    return min(D.cayley[y][h] for h in D.Hs[i])
+
+
+def validate_data_loops(D, rack_mode=False):
+    """group_model.validate_data, one (i, h, j, y) at a time."""
+    mul = D.cayley
+    g = len(mul)
+    for i, (H, z) in enumerate(zip(D.Hs, D.zs)):
+        if not rack_mode and z not in H:
+            return False, ("z_not_in_H", i)
+        for h in H:
+            comm = mul[mul[h][z]][D.inv[mul[z][h]]]
+            if comm == D.identity:
+                continue
+            for j in range(len(D.Hs)):
+                for y in range(g):
+                    if _coset_rep(D, mul[comm][y], j) != _coset_rep(D, y, j):
+                        return False, ("noncommuting", i, h, j, y)
+    return True, None
+
+
+def coset_build_loops(D, rack_mode, cap):
+    """group_model.build, one table entry at a time."""
+    ok, witness = validate_data_loops(D, rack_mode)
+    if not ok:
+        raise InvalidData(witness)
+    mul = D.cayley
+    labels = []
+    index = {}
+    for i in range(len(D.Hs)):
+        for y in range(len(mul)):
+            rep = _coset_rep(D, y, i)
+            if (i, rep) not in index:
+                index[(i, rep)] = len(labels)
+                labels.append((i, rep))
+    size = len(labels)
+    if size > cap:
+        raise CapExceeded(cap)
+    table = np.empty((size, size), dtype=np.int64)
+    for a, (i, x) in enumerate(labels):
+        zi_conj = mul[mul[x][D.zs[i]]][D.inv[x]]
+        for b, (j, y) in enumerate(labels):
+            table[a, b] = index[(j, _coset_rep(D, mul[zi_conj][y], j))]
+    return fq.validate(table, require_quandle=not rack_mode), labels

@@ -252,6 +252,26 @@ def test_distributivity_on_repeated_rows():
     assert 100 < failing < 1000
 
 
+def test_reductive_witness_matches_all_rows(corpus):
+    """The first witness is the one a scan over every x1 finds, on the
+    corpus and on the random permutation-row tables of
+    test_kernels.test_stationary_walk_witnesses."""
+    tables = [(Q.table, range(1, 5)) for Q in _racks(corpus)]
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        table = np.array([rng.permutation(n) for _ in range(n)], dtype=np.int64)
+        tables.append((table, range(1, 9 if n <= 3 else 6)))
+    witnesses = set()
+    for table, classes in tables:
+        walk = kernels._Walk(table)
+        for c in classes:
+            witness = kernels.reductive_witness(table, c, walk)
+            assert witness == oracles.reductive_witness_all_rows(table, c)
+            witnesses.add(witness)
+    assert None in witnesses and len(witnesses) > 50
+
+
 def test_orbits_and_reduced_witness_match_loops(corpus):
     witnesses = set()
     for Q in _racks(corpus):

@@ -263,3 +263,59 @@ def test_braid_sample_budget_below_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "trivial" not in captured.out
     assert captured.err.count("error:") == 2
+
+
+def test_invalid_two_nilpotent_data_exits_1(tmp_path, capsys):
+    # H_0 = <2 e_0, 3 e_1> lacks e_0; H_0 of the second file lies in Z^3
+    bad = {"H_0 does not contain e_0": "2\n2 2\n2 0\n0 3\n2 2\n5 0\n0 1\n",
+           "H_0 lies in Z^3, not Z^2": "2\n3 1\n1 0 0\n2 1\n0 1\n"}
+    for message, text in bad.items():
+        p = tmp_path / "bad.2n"
+        p.write_text(text)
+        for argv in (["envelope", str(p)], ["construct", "two-nilp", str(p)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+
+def test_envelope_of_no_orbits(tmp_path, capsys):
+    p = tmp_path / "empty.2n"
+    p.write_text("0\n")
+    assert main(["--format", "kv", "envelope", str(p)]) == 0
+    kv = _kv(capsys)
+    assert (kv["free_rank"], kv["center_free_rank"], kv["torsion"]) == ("0", "0", "[]")
+    assert (kv["abelian"], kv["injective"]) == ("true", "true")
+
+
+def test_classify_layers_are_called(tmp_path, datafile, monkeypatch, capsys):
+    """The classify benchmark's answer check requires each of these layers
+    to be called on its requests (perfbench/test_perfbench.py, CALLED_ON);
+    perfbench/ is outside the tier-1 test paths, so this guards it here."""
+    from quandlekit import group_model, lattice, nilpotency, permgroup
+
+    layers = [(tn, "build_quandle"), (tn, "enveloping_extension"), (group_model, "build"),
+              (lattice.IntLattice, "cosets"), (lattice, "hnf_with_transform"),
+              (fq, "quotient_by_subgroup"), (fq, "validate"), (nilpotency, "analyze"),
+              (permgroup.PermGroup, "elements"), (permgroup, "lower_central_series"),
+              (permgroup, "normal_closure")]
+    calls = {}
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in layers:
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), name))
+    group = tmp_path / "g.grp"
+    group.write_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n2\n0 2\n0\n2 0\n")
+    out = str(tmp_path / "out.qdl")
+    for construct in (["qmn", "3", "4"], ["two-nilp", datafile], ["coset", str(group)]):
+        assert main(["construct", *construct, "-o", out]) == 0
+        assert main(["--format", "kv", "analyze", out]) == 0
+    assert main(["--format", "kv", "envelope", datafile]) == 0
+    capsys.readouterr()
+    assert [name for name, count in calls.items() if not count] == []

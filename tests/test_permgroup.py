@@ -3,7 +3,7 @@ import pytest
 from conftest import dihedral, groups_up_to_8
 from oracles import center, element_set, perm_comm, perm_inv
 from quandlekit import finite_quandle as fq
-from quandlekit.errors import OrderCapExceeded
+from quandlekit.errors import InvalidGroup, OrderCapExceeded
 from quandlekit.permgroup import (
     PermGroup,
     commutator_subgroup,
@@ -99,3 +99,12 @@ def test_center_and_normal_closure():
     assert center(klein).equals(klein)
     N = normal_closure([(1, 0, 2)], S3)
     assert N.order() == 6
+
+
+def test_generators_must_be_permutations_of_the_degree():
+    for degree, gens in ((1, [(1, 0)]), (2, [(0, 0)]), (2, [(1, 2)]), (2, [(0, -1)]),
+                         (3, [(1, 0, 2), (0, 2)]), (2, [(1, 0), (1, 2**70)])):
+        with pytest.raises(InvalidGroup) as exc:
+            PermGroup(degree, gens)
+        assert str(exc.value) == f"generator {gens[-1]} is not a permutation of {degree} points"
+    assert PermGroup(0, []).order() == 1

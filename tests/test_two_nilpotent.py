@@ -5,7 +5,7 @@ import pytest
 from quandlekit import finite_quandle as fq
 from quandlekit import nilpotency as nil
 from quandlekit import two_nilpotent as tn
-from quandlekit.errors import InfiniteOrbit, NotTwoNilpotent, ParseError
+from quandlekit.errors import InfiniteOrbit, InvalidOrbitLattice, NotTwoNilpotent, ParseError
 from quandlekit.lattice import IntLattice
 
 
@@ -16,6 +16,15 @@ def test_build_qmn_matches_direct_table():
         assert fq.find_isomorphism(Q, direct) is not None
         sizes = sorted(len(c) for c in fq.orbits(Q).classes())
         assert sizes == sorted([m, n])
+
+
+def test_data_names_the_invalid_orbit():
+    full = IntLattice.full(2)
+    for Hs, orbit in (([full, IntLattice(2, [[1, 0], [0, 2]])], 1),
+                      ([IntLattice.full(3), full], 0)):
+        with pytest.raises(InvalidOrbitLattice) as exc:
+            tn.TwoNilpotentData(Hs)
+        assert exc.value.orbit == orbit
 
 
 def test_build_trivial_data():
